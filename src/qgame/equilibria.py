@@ -204,19 +204,10 @@ def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return thetas, phis, x, y
 
 
-def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
-    """Exhaustive equilibrium scan over all grid strategy pairs.
-
-    Both players range over the same Bloch grid.  Candidate pairs are
-    kept when both closed-form deviation checks pass at slack tol, then
-    de-duplicated by payoff-vector proximity (first representative in
-    grid order wins), and the survivors are re-certified one by one.
-    The scan is blocked over player one's grid index; blocks are
-    independent and merged in index order, so any partitioning of the
-    work yields an identical result list.
-    """
-    thetas, phis, x, y = _grid_amplitudes(grid)
-    n = x.size
+def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat pair indices i*n + j and payoff angles of the grid pairs passing both checks, in grid order."""
+    thetas, _, x, y = _grid_amplitudes(grid)
+    n, per_row = x.size, grid.phi_points
     u = g.u.mat
     t1, t2 = g.prefs.player1_target, g.prefs.player2_target
 
@@ -228,50 +219,70 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
     b2 = u[t2, 1] * x + u[t2, 3] * y
     best2 = np.hypot(np.abs(a2), np.abs(b2))
 
-    cand_index: list[np.ndarray] = []
-    cand_payoff1: list[np.ndarray] = []
-    cand_payoff2: list[np.ndarray] = []
-    block = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        xa, ya = x[start:stop, None], y[start:stop, None]
-        achieved1 = np.abs(xa * a1[None, :] + ya * b1[None, :])
-        ok = achieved1 >= best1[None, :] - tol
-        achieved2 = np.abs(a2[start:stop, None] * x[None, :] + b2[start:stop, None] * y[None, :])
-        ok &= achieved2 >= best2[start:stop, None] - tol
+    # On theta-row k, |x| = cos(theta_k/2) and |y| = sin(theta_k/2), so a
+    # deviator's achieved modulus there is at most cos*|a| + sin*|b|.  A row
+    # whose bound is below best - tol (less a rounding guard) cannot pass.
+    cos_k, sin_k = np.cos(thetas / 2.0)[:, None], np.sin(thetas / 2.0)[:, None]
+    reach1 = cos_k * np.abs(a1) + sin_k * np.abs(b1) >= best1 - tol - 1e-12  # [row of i, j]
+    reach2 = cos_k * np.abs(a2) + sin_k * np.abs(b2) >= best2 - tol - 1e-12  # [row of j, i]
+    rows2 = reach2.reshape(thetas.size, thetas.size, per_row).any(axis=2)  # [row of j, row of i]
+    keep = reach1 & np.repeat(rows2.T, per_row, axis=1)
+
+    index, pay1, pay2 = [], [], []
+    for k in range(thetas.size):
+        rows, cols = slice(k * per_row, (k + 1) * per_row), np.flatnonzero(keep[k])
+        achieved1 = np.abs(x[rows, None] * a1[cols] + y[rows, None] * b1[cols])
+        ok = achieved1 >= best1[cols] - tol
+        achieved2 = np.abs(a2[rows, None] * x[cols] + b2[rows, None] * y[cols])
+        ok &= achieved2 >= best2[rows, None] - tol
         ii, jj = np.nonzero(ok)
-        if ii.size:
-            p1 = np.arccos(np.clip(achieved1[ii, jj] ** 2, 0.0, 1.0))
-            p2 = np.arccos(np.clip(achieved2[ii, jj] ** 2, 0.0, 1.0))
-            cand_index.append((start + ii).astype(np.int64) * n + jj)
-            cand_payoff1.append(p1)
-            cand_payoff2.append(p2)
+        index.append((k * per_row + ii).astype(np.int64) * n + cols[jj])
+        pay1.append(np.arccos(np.clip(achieved1[ii, jj] ** 2, 0.0, 1.0)))
+        pay2.append(np.arccos(np.clip(achieved2[ii, jj] ** 2, 0.0, 1.0)))
+    return np.concatenate(index), np.concatenate(pay1), np.concatenate(pay2)
 
-    if not cand_index:
-        return []
-    pair_index = np.concatenate(cand_index)
-    payoff1 = np.concatenate(cand_payoff1)
-    payoff2 = np.concatenate(cand_payoff2)
 
-    # Payoffs live in [0, pi/2], so the rounded keys fit well inside 21 bits.
-    step = TOL.payoff_dedup
-    key = (np.round(payoff1 / step).astype(np.int64) << 21) | np.round(payoff2 / step).astype(np.int64)
-    _, first = np.unique(key, return_index=True)
-    reps = np.sort(first)
+def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:
+    """Indices of the payoff pairs kept when no earlier kept pair lies within Chebyshev distance step."""
+    # Payoffs live in [0, pi/2], so the rounded cells fit well inside 21 bits.
+    cell1 = np.round(payoff1 / step).astype(np.int64)
+    cell2 = np.round(payoff2 / step).astype(np.int64)
+    _, first = np.unique((cell1 << 21) | cell2, return_index=True)
 
+    # A pair within step of another lies at most two cells away on each
+    # axis, even when round-half-to-even splits them at a cell edge.
     accepted: list[int] = []
-    accepted_payoffs: list[tuple[float, float]] = []
-    for r in reps:
-        pv = (float(payoff1[r]), float(payoff2[r]))
-        if any(max(abs(pv[0] - q0), abs(pv[1] - q1)) <= step for q0, q1 in accepted_payoffs):
+    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for r in np.sort(first).tolist():
+        p1, p2, c1, c2 = float(payoff1[r]), float(payoff2[r]), int(cell1[r]), int(cell2[r])
+        near = (q for d1 in range(-2, 3) for d2 in range(-2, 3) for q in cells.get((c1 + d1, c2 + d2), ()))
+        if any(max(abs(p1 - q1), abs(p2 - q2)) <= step for q1, q2 in near):
             continue
-        accepted.append(int(r))
-        accepted_payoffs.append(pv)
+        accepted.append(r)
+        cells.setdefault((c1, c2), []).append((p1, p2))
+    return accepted
 
+
+def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
+    """Equilibrium scan over all grid strategy pairs.
+
+    Both players range over the same Bloch grid.  A pair is a candidate
+    when both closed-form deviation checks pass at slack tol.  Player
+    one's achieved modulus on one of their theta-rows is bounded by
+    cos(theta/2)|a| + sin(theta/2)|b| (Cauchy-Schwarz on the row's fixed
+    amplitude moduli), and likewise for player two; the exact checks run
+    only on the row-by-column blocks where both bounds reach the best
+    response value, so the candidates equal those of the dense scan.
+    Candidates are de-duplicated by payoff-vector proximity, first in
+    grid order winning; rounded payoff cells are bucketed, so each pair
+    is compared only with the kept pairs in nearby cells.  The survivors
+    are re-certified one by one.
+    """
+    thetas, phis, _, _ = _grid_amplitudes(grid)
+    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
     certificates = []
-    for r in accepted:
-        flat = int(pair_index[r])
-        i, j = divmod(flat, n)
+    for r in _dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup):
+        i, j = divmod(int(pair_index[r]), grid.theta_points * grid.phi_points)
         play = Play(
             StrategyParams(float(thetas[i // grid.phi_points]), float(phis[i % grid.phi_points])).to_state(),
             StrategyParams(float(thetas[j // grid.phi_points]), float(phis[j % grid.phi_points])).to_state(),
@@ -292,21 +303,32 @@ def alternating_best_response(
 
     Each round replaces player one's strategy, then player two's against
     the update.  Iteration stops early, reporting convergence, when both
-    target amplitude moduli move by less than tol over a round.  The
-    dynamics need not converge for every game, so the flag is part of
-    the result rather than an error.
+    target amplitude moduli move by less than tol over a round.  A round
+    maps player one's strategy through K = conj(M1) M2^T, whose trace
+    vanishes because the two target rows of a unitary are orthogonal, so
+    on a generic game the moduli repeat with period two and never settle;
+    iteration stops without convergence as soon as that cycle shows.
+    The dynamics need not converge for every game, so the flag is part
+    of the result rather than an error.
     """
+
+    def close(m, n):
+        return max(abs(m[0] - n[0]), abs(m[1] - n[1])) < tol
+
     a, b = start.a, start.b
-    previous = _target_amplitude_moduli(g, Play(a, b))
+    moduli = [_target_amplitude_moduli(g, Play(a, b))]
     converged = False
     for _ in range(max_iters):
         a = best_response_strategy(g, 1, b)
         b = best_response_strategy(g, 2, a)
-        current = _target_amplitude_moduli(g, Play(a, b))
-        if max(abs(current[0] - previous[0]), abs(current[1] - previous[1])) < tol:
+        moduli.append(_target_amplitude_moduli(g, Play(a, b)))
+        if close(moduli[-1], moduli[-2]):
             converged = True
             break
-        previous = current
+        # The starting play is not a best response, so the cycle is only
+        # looked for among the rounds' own results.
+        if len(moduli) > 3 and close(moduli[-1], moduli[-3]):
+            break
     return Play(a, b), converged
 
 

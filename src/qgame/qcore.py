@@ -148,7 +148,7 @@ class GameUnitary:
 
 def tensor(a: QubitState, b: QubitState) -> TwoQubitState:
     """Joint state of the two players, (a.x b.x, a.x b.y, a.y b.x, a.y b.y)."""
-    return TwoQubitState(np.kron(a.vec, b.vec))
+    return TwoQubitState((a.vec[:, None] * b.vec[None, :]).reshape(4))
 
 
 def apply(u: GameUnitary, s: TwoQubitState) -> TwoQubitState:

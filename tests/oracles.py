@@ -1,9 +1,15 @@
 """Independent brute-force oracles used to cross-check closed forms.
 
-These deliberately avoid the library's coefficient-contraction shortcut:
-every candidate deviation builds the full joint state and applies the
-whole matrix, so agreement with the closed forms is evidence, not an
-identity between two copies of the same code.
+The deviation oracles deliberately avoid the library's
+coefficient-contraction shortcut: every candidate deviation builds the
+full joint state and applies the whole matrix, so agreement with the
+closed forms is evidence, not an identity between two copies of the same
+code.
+
+dense_candidate_pairs and quadratic_dedup are the plain forms of the
+equilibrium search's two phases: every grid pair is tested, and every
+payoff pair is compared with every kept one.  The library's pruned scan
+and bucketed dedup must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -51,3 +57,55 @@ def sweep_max_improvements(
     best1 = grid_max_target_amplitude(u_mat, t1, 1, b_vec, n_theta, n_phi)
     best2 = grid_max_target_amplitude(u_mat, t2, 2, a_vec, n_theta, n_phi)
     return best1, best2
+
+
+def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every grid pair tested, blocked over player one's grid index.
+
+    Same contract as qgame.equilibria._candidate_pairs: flat pair indices
+    i*n + j and the two payoff angles of the passing pairs, in grid order.
+    """
+    thetas = np.linspace(0.0, np.pi, grid.theta_points)
+    phis = np.linspace(0.0, 2.0 * np.pi, grid.phi_points, endpoint=False)
+    x = np.repeat(np.cos(thetas / 2.0), grid.phi_points)
+    y = (np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)[None, :]).ravel()
+    n = x.size
+    u = g.u.mat
+    t1, t2 = g.prefs.player1_target, g.prefs.player2_target
+
+    a1 = u[t1, 0] * x + u[t1, 1] * y
+    b1 = u[t1, 2] * x + u[t1, 3] * y
+    best1 = np.hypot(np.abs(a1), np.abs(b1))
+    a2 = u[t2, 0] * x + u[t2, 2] * y
+    b2 = u[t2, 1] * x + u[t2, 3] * y
+    best2 = np.hypot(np.abs(a2), np.abs(b2))
+
+    cand_index, cand_payoff1, cand_payoff2 = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0)]
+    block = max(1, (1 << 22) // max(n, 1))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        xa, ya = x[start:stop, None], y[start:stop, None]
+        achieved1 = np.abs(xa * a1[None, :] + ya * b1[None, :])
+        ok = achieved1 >= best1[None, :] - tol
+        achieved2 = np.abs(a2[start:stop, None] * x[None, :] + b2[start:stop, None] * y[None, :])
+        ok &= achieved2 >= best2[start:stop, None] - tol
+        ii, jj = np.nonzero(ok)
+        cand_index.append((start + ii).astype(np.int64) * n + jj)
+        cand_payoff1.append(np.arccos(np.clip(achieved1[ii, jj] ** 2, 0.0, 1.0)))
+        cand_payoff2.append(np.arccos(np.clip(achieved2[ii, jj] ** 2, 0.0, 1.0)))
+    return np.concatenate(cand_index), np.concatenate(cand_payoff1), np.concatenate(cand_payoff2)
+
+
+def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:
+    """First-in-order payoff de-duplication, each pair compared with every kept pair."""
+    key = (np.round(payoff1 / step).astype(np.int64) << 21) | np.round(payoff2 / step).astype(np.int64)
+    _, first = np.unique(key, return_index=True)
+    accepted: list[int] = []
+    accepted_payoffs: list[tuple[float, float]] = []
+    for r in np.sort(first):
+        pv = (float(payoff1[r]), float(payoff2[r]))
+        if any(max(abs(pv[0] - q0), abs(pv[1] - q1)) <= step for q0, q1 in accepted_payoffs):
+            continue
+        accepted.append(int(r))
+        accepted_payoffs.append(pv)
+    return accepted

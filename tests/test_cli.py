@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from helpers import run_cli
-from qgame.gates import CNOT, bell_state, load_gate_file
+from oracles import dense_candidate_pairs, quadratic_dedup
+from qgame import equilibria
+from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file
 from qgame.qcore import check_unitary
 
 PI = math.pi
@@ -155,6 +157,18 @@ def test_analyze_runs_are_deterministic():
     first = run_cli(args)
     second = run_cli(args)
     assert first == second
+
+
+@pytest.mark.parametrize("gate", sorted(LIBRARY))
+def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
+    """The pruned scan and bucketed dedup change no byte of analyze's output."""
+    runs = [["analyze", gate, "--grid-theta", "21", "--grid-phi", "40"] + fmt for fmt in ([], ["--csv"])]
+    fast = [run_cli(args) for args in runs]
+    monkeypatch.setattr(equilibria, "_candidate_pairs", dense_candidate_pairs)
+    monkeypatch.setattr(equilibria, "_dedup_payoffs", quadratic_dedup)
+    dense = [run_cli(args) for args in runs]
+    assert fast == dense
+    assert all(code == 0 and out for code, out, _ in fast)
 
 
 # -------------------------------------------------------------------- region

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grid_max_target_amplitude
+from oracles import dense_candidate_pairs, grid_max_target_amplitude, quadratic_dedup
+from qgame import equilibria
 from qgame.equilibria import (
     CASE_IDS,
     CASE_PAIRS,
@@ -23,10 +24,11 @@ from qgame.equilibria import (
     verify_equilibrium,
 )
 from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
-from qgame.gates import CNOT, CZ, IDENTITY, SWAP
-from qgame.qcore import KET0, KET1, QubitState, random_qubit_state, random_unitary
+from qgame.gates import BELL_CIRCUIT, CNOT, CZ, IDENTITY, LIBRARY, SWAP
+from qgame.qcore import KET0, KET1, TOL, QubitState, random_qubit_state, random_unitary
 
 S2 = 1.0 / math.sqrt(2.0)
+ALL_PREFS = [(i, j) for i in range(4) for j in range(4) if i != j]
 
 
 def random_prefs(rng):
@@ -258,6 +260,88 @@ def test_search_representatives_recertify():
             assert again.is_equilibrium
 
 
+def assert_same_candidates(got, expected):
+    """Pair indices and payoff angles equal bit for bit, order included."""
+    for mine, theirs in zip(got, expected):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-2])
+def test_pruned_scan_matches_dense_oracle_on_library(tol):
+    grid = GridSpec(13, 24)
+    for entry in LIBRARY.values():
+        for prefs in ALL_PREFS:
+            g = QuantumGame(entry.unitary, PreferenceProfile(*prefs))
+            expected = dense_candidate_pairs(g, grid, tol)
+            assert expected[0].size  # every library game has grid equilibria
+            assert_same_candidates(equilibria._candidate_pairs(g, grid, tol), expected)
+
+
+@pytest.mark.parametrize("gate", [CNOT, BELL_CIRCUIT], ids=["cnot", "bell_circuit"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-2])
+def test_pruned_scan_matches_dense_oracle_at_default_grid(gate, tol):
+    g = QuantumGame(gate)
+    grid = GridSpec()
+    assert_same_candidates(equilibria._candidate_pairs(g, grid, tol), dense_candidate_pairs(g, grid, tol))
+
+
+def test_pruned_scan_matches_dense_oracle_on_random_games():
+    rng = np.random.default_rng(79)
+    grid = GridSpec(21, 40)
+    found = 0
+    for _ in range(12):
+        g = QuantumGame(random_unitary(rng), random_prefs(rng))
+        expected = dense_candidate_pairs(g, grid, 1e-2)
+        found += expected[0].size > 0
+        assert_same_candidates(equilibria._candidate_pairs(g, grid, 1e-2), expected)
+    assert found >= 6  # the loose slack admits candidates on most random games
+
+
+def half_cell_payoffs(step):
+    """Payoffs within a few ulps of the half-way points between rounding cells."""
+    values = []
+    for k in (0, 1, 2, 7, 1000, 123456, 1570795):
+        for centre in ((k + 0.5) * step, (k + 1.5) * step):
+            values += [centre + d * np.spacing(centre) for d in range(-3, 4)]
+        values += [v + step for v in values[-14:-7]]
+    return np.array(values)
+
+
+def test_bucketed_dedup_matches_quadratic_oracle_at_edges():
+    step = TOL.payoff_dedup
+    rng = np.random.default_rng(83)
+    halves = half_cell_payoffs(step)
+    # Chebyshev distance exactly step along either axis, and both.
+    base = rng.uniform(0.0, math.pi / 2, 40)
+    other = rng.uniform(0.0, math.pi / 2, 40)
+    exact1 = np.concatenate([base, base + step, base, base + step])
+    exact2 = np.concatenate([other, other, other + step, other + step])
+    # Clusters centred on cell corners, spread over three cells.
+    centres = (rng.integers(0, 1_500_000, (30, 2)) + 0.5) * step
+    cluster = np.repeat(centres, 20, axis=0) + rng.uniform(-1.5 * step, 1.5 * step, (600, 2))
+    cases = [
+        (halves, np.zeros_like(halves)),
+        (np.zeros_like(halves), halves),
+        (halves, halves[::-1].copy()),
+        (exact1, exact2),
+        (cluster[:, 0], cluster[:, 1]),
+    ]
+    for p1, p2 in cases:
+        for order in (np.arange(p1.size), rng.permutation(p1.size)):
+            a, b = p1[order], p2[order]
+            assert equilibria._dedup_payoffs(a, b, step) == quadratic_dedup(a, b, step)
+
+
+def test_bucketed_dedup_merges_across_two_cells():
+    """Round-half-to-even can put pairs within step two cells apart."""
+    step = TOL.payoff_dedup
+    lo, hi = 0.5 * step, 1.5 * step - np.spacing(1.5 * step)
+    assert (round(lo / step), round(hi / step)) == (0, 2) and hi - lo <= step
+    p1, p2 = np.array([lo, hi]), np.zeros(2)
+    assert equilibria._dedup_payoffs(p1, p2, step) == quadratic_dedup(p1, p2, step) == [0]
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1, 24)
@@ -290,6 +374,28 @@ def test_alternating_best_response_iteration_budget():
     assert not converged
     _, converged = alternating_best_response(g, Play(KET0, KET0), max_iters=2)
     assert converged
+
+
+def test_alternating_best_response_stops_on_the_two_cycle(monkeypatch):
+    """tr K = 0 on every game, so generic dynamics cycle instead of converging."""
+    calls = []
+    real = equilibria.best_response_strategy
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(equilibria, "best_response_strategy", counting)
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        g = QuantumGame(random_unitary(rng), random_prefs(rng))
+        calls.clear()
+        play, converged = alternating_best_response(
+            g, Play(random_qubit_state(rng), random_qubit_state(rng))
+        )
+        assert converged is False
+        assert not verify_equilibrium(g, play).is_equilibrium
+        assert len(calls) <= 8  # a few rounds, not the 100-round budget
 
 
 def test_alternating_best_response_random_games_stay_normalized():

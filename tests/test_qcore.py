@@ -97,6 +97,13 @@ def test_tensor_matches_componentwise_products():
         assert np.allclose(t, expected, atol=1e-15)
 
 
+def test_tensor_equals_kron_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        a, b = random_qubit_state(rng), random_qubit_state(rng)
+        assert tensor(a, b).vec.tobytes() == np.kron(a.vec, b.vec).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     t1=st.floats(0, math.pi),
