@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -32,17 +33,24 @@ from .equilibria import (
     EquilibriumCertificate,
     GridSpec,
     feasibility_region,
-    feasibility_region_swapped,
     response_coefficients,
     search_equilibria,
     verify_equilibrium,
 )
-from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoffs
+from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoff_angle
 from .gates import LIBRARY, bell_state, gate_to_json_dict, load_gate_file, save_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
 from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState
 
 CONFIG_ENV_VAR = "QGAME_CONFIG"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,22 +60,21 @@ class RunConfig:
     tolerance: float = 1e-9
     grid_theta: int = 61
     grid_phi: int = 120
-    oracle_theta: int = 181
-    oracle_phi: int = 360
     prefs: PreferenceProfile = field(default_factory=PreferenceProfile)
     output_format: str = "json"
 
     def __post_init__(self):
-        if not (0.0 < self.tolerance <= 1e-2):
-            raise ValueError(f"tolerance must lie in (0, 1e-2], got {self.tolerance!r}")
-        for name in ("grid_theta", "grid_phi", "oracle_theta", "oracle_phi"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)!r}")
+        if not (_is_real(self.tolerance) and 0.0 < self.tolerance <= 1e-2):
+            raise ValueError(f"tolerance must be a number in (0, 1e-2], got {self.tolerance!r}")
+        for name in ("grid_theta", "grid_phi"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 2):
+                raise ValueError(f"{name} must be an integer of at least 2, got {value!r}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
 
 
-_CONFIG_KEYS = ("tolerance", "grid_theta", "grid_phi", "oracle_theta", "oracle_phi", "prefs", "output_format")
+_CONFIG_KEYS = ("tolerance", "grid_theta", "grid_phi", "prefs", "output_format")
 
 
 def load_run_config(env: dict | None = None) -> RunConfig:
@@ -96,6 +103,8 @@ def load_run_config(env: dict | None = None) -> RunConfig:
 def _prefs_profile(value) -> PreferenceProfile:
     try:
         first, second = value
+        if not (_is_int(first) and _is_int(second)):
+            raise ValueError(f"got {value!r}")
         return PreferenceProfile(int(first), int(second))
     except (TypeError, ValueError) as exc:
         raise QGameError(f"prefs must be two distinct outcome indices in 0..3: {exc}") from None
@@ -163,8 +172,8 @@ def _case_pair_arg(text: str) -> tuple[int, int]:
     return pair
 
 
-def _strategy_from_amplitudes(x: complex, y: complex, who: str) -> QubitState:
-    vec = np.array([x, y], dtype=complex)
+def _renormalized(vec: np.ndarray, who: str) -> np.ndarray:
+    """vec scaled to unit norm, with a stderr warning for drift; too much drift is refused."""
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > TOL.amplitude_input:
         raise NormalizationError(
@@ -172,7 +181,11 @@ def _strategy_from_amplitudes(x: complex, y: complex, who: str) -> QubitState:
         )
     if abs(norm - 1.0) > 1e-12:
         print(f"warning: renormalizing {who} amplitudes (norm was {norm!r})", file=sys.stderr)
-    return QubitState(vec / norm)
+    return vec / norm
+
+
+def _strategy_from_amplitudes(x: complex, y: complex, who: str) -> QubitState:
+    return QubitState(_renormalized(np.array([x, y], dtype=complex), who))
 
 
 def _bloch_strategy(pair: tuple[float, float], who: str) -> QubitState:
@@ -262,22 +275,19 @@ def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
     name, unitary = _resolve_gate(args.gate)
     game = QuantumGame(unitary, cfg.prefs)
+    t1, t2 = cfg.prefs.player1_target, cfg.prefs.player2_target
 
     canonical = []
     for i in (0, 1):
         for j in (0, 1):
             play = Play(_BASIS[i], _BASIS[j])
             coeffs = response_coefficients(game, play)
-            pay = payoffs(game, play)
             out = outcome(game, play)
             canonical.append(
                 {
                     "play": f"(|{i}>, |{j}>)",
-                    "payoffs": [_round_angle(pay[0]), _round_angle(pay[1])],
-                    "achieved": [
-                        abs(out.amplitude(cfg.prefs.player1_target)),
-                        abs(out.amplitude(cfg.prefs.player2_target)),
-                    ],
+                    "payoffs": [_round_angle(payoff_angle(out, t1)), _round_angle(payoff_angle(out, t2))],
+                    "achieved": [abs(out.amplitude(t1)), abs(out.amplitude(t2))],
                     "coefficients": {
                         "p": coeffs.p,
                         "q": coeffs.q,
@@ -308,7 +318,7 @@ def cmd_analyze(args) -> int:
 
     report = {
         "gate": name,
-        "preferences": [cfg.prefs.player1_target, cfg.prefs.player2_target],
+        "preferences": [t1, t2],
         "tolerance": cfg.tolerance,
         "grid": {"theta_points": cfg.grid_theta, "phi_points": cfg.grid_phi},
         "canonical_plays": canonical,
@@ -349,12 +359,14 @@ def cmd_region(args) -> int:
     for player, case in ((1, pair[0]), (2, pair[1])):
         p_side, q_side = (coeffs.p, coeffs.q) if player == 1 else (coeffs.p_prime, coeffs.q_prime)
         info = {"player": player, "case": case}
-        if p_side >= TOL.degenerate_coefficient:
-            region = feasibility_region(coeffs, player, deviation, args.resolution, pair)
-            info.update(form="primary", slope=q_side / p_side, samples=[list(s) for s in region.samples])
-        elif q_side >= TOL.degenerate_coefficient:
-            region = feasibility_region_swapped(coeffs, player, deviation, args.resolution, pair)
-            info.update(form="swapped", slope=p_side / q_side, samples=[list(s) for s in region.samples])
+        if max(p_side, q_side) >= TOL.degenerate_coefficient:
+            swapped = p_side < TOL.degenerate_coefficient
+            region = feasibility_region(coeffs, player, deviation, args.resolution, pair, swapped)
+            info.update(
+                form="swapped" if swapped else "primary",
+                slope=p_side / q_side if swapped else q_side / p_side,
+                samples=[list(s) for s in region.samples],
+            )
         else:
             info.update(form="degenerate", slope=None, samples=None,
                         note="both coefficients vanish; every play satisfies the inequality")
@@ -407,12 +419,7 @@ def _load_target_state(token: str) -> tuple[str, TwoQubitState]:
         vec = np.array([complex(float(entry[0]), float(entry[1])) for entry in amplitudes], dtype=complex)
     except (TypeError, ValueError, IndexError) as exc:
         raise QGameError(f"target amplitudes must be [re, im] number pairs: {exc}") from None
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > TOL.amplitude_input:
-        raise NormalizationError(f"target state norm {norm!r} is more than {TOL.amplitude_input} from 1")
-    if abs(norm - 1.0) > 1e-12:
-        print(f"warning: renormalizing target amplitudes (norm was {norm!r})", file=sys.stderr)
-    return name, TwoQubitState(vec / norm)
+    return name, TwoQubitState(_renormalized(vec, "target"))
 
 
 def cmd_mechanism(args) -> int:

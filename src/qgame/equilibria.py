@@ -2,13 +2,15 @@
 
 A play is a Nash equilibrium of these games exactly when neither player
 can raise the amplitude modulus on their own preferred outcome by a
-unilateral strategy change.  Because the target amplitude is linear in
-the deviating player's two amplitudes, the best achievable modulus
-against a fixed opponent has the closed form sqrt(|a|^2 + |b|^2) where
-(a, b) are the contraction coefficients of the target row against the
-opponent's state; the maximizer is the conjugate coefficient direction.
-Equilibrium checking therefore never needs numeric optimization, and the
-mini-max value is attained whenever a certificate reports equilibrium.
+unilateral strategy change.  For target row t, M = U[t] reshaped to 2x2
+gives the target amplitude a^T M b of the play (a, b); M1 and M2 are the
+two players' matrices.  The amplitude is linear in the deviating
+player's two amplitudes with coefficient pair M1 b for player one and
+M2^T a for player two, so the best achievable modulus against a fixed
+opponent is the pair's norm, attained by its conjugate direction:
+conj(M1 b) and conj(M2^T a) are the best responses.  Equilibrium
+checking therefore never needs numeric optimization, and the mini-max
+value is attained whenever a certificate reports equilibrium.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoff_angle
+from .game import Play, QuantumGame, StrategyParams, outcome, payoff_angle
 from .qcore import KET0, QGameError, QubitState, TOL
 
 
@@ -104,36 +106,56 @@ class RegionSpec:
     swapped: bool
 
 
-def _target_row(g: QuantumGame, player: int) -> int:
+def _target_matrices(g: QuantumGame) -> tuple[np.ndarray, np.ndarray]:
+    """M1 and M2: each player's target row of U reshaped to 2x2, so their amplitude is a^T M b."""
+    u = g.u.mat
+    return u[g.prefs.player1_target].reshape(2, 2), u[g.prefs.player2_target].reshape(2, 2)
+
+
+def _contract(m: np.ndarray, x, y):
+    """m @ (x, y), written elementwise so scalars and grid arrays round alike."""
+    return m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
+
+
+def _coefficient_pair(m: np.ndarray, opponent: QubitState) -> tuple[complex, complex]:
+    """Complex pair (a, b) such that the deviator's target amplitude is a*x + b*y.
+
+    m is M1 for player one and M2^T for player two.
+    """
+    a, b = _contract(m, opponent.x, opponent.y)
+    return complex(a), complex(b)
+
+
+def _coefficient_pairs(g: QuantumGame, p: Play) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Player one's pair M1 b and player two's pair M2^T a at the play."""
+    m1, m2 = _target_matrices(g)
+    return _coefficient_pair(m1, p.b), _coefficient_pair(m2.T, p.a)
+
+
+def _player_matrix(g: QuantumGame, player: int) -> np.ndarray:
+    m1, m2 = _target_matrices(g)
     if player == 1:
-        return g.prefs.player1_target
+        return m1
     if player == 2:
-        return g.prefs.player2_target
+        return m2.T
     raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 
-def _coefficient_pair(g: QuantumGame, player: int, opponent: QubitState) -> tuple[complex, complex]:
-    """Complex pair (a, b) such that the deviator's target amplitude is a*x + b*y.
+def _pair_norm(pair: tuple[complex, complex]) -> float:
+    return math.hypot(abs(pair[0]), abs(pair[1]))
 
-    For player one the opponent state multiplies column pairs (0,1) and
-    (2,3) of the target row; for player two it multiplies (0,2) and
-    (1,3), reflecting the tensor ordering of the joint input.
-    """
-    u = g.u.mat
-    t = _target_row(g, player)
-    if player == 1:
-        a = u[t, 0] * opponent.x + u[t, 1] * opponent.y
-        b = u[t, 2] * opponent.x + u[t, 3] * opponent.y
-    else:
-        a = u[t, 0] * opponent.x + u[t, 2] * opponent.y
-        b = u[t, 1] * opponent.x + u[t, 3] * opponent.y
-    return complex(a), complex(b)
+
+def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
+    norm = _pair_norm(pair)
+    if norm < 1e-15:
+        return KET0
+    v = np.array([np.conj(pair[0]), np.conj(pair[1])]) / norm
+    return QubitState(v / np.linalg.norm(v))
 
 
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
     """Coefficient moduli (p, q, p', q') at the given play."""
-    a1, b1 = _coefficient_pair(g, 1, p.b)
-    a2, b2 = _coefficient_pair(g, 2, p.a)
+    (a1, b1), (a2, b2) = _coefficient_pairs(g, p)
     return ResponseCoefficients(abs(a1), abs(b1), abs(a2), abs(b2))
 
 
@@ -143,18 +165,12 @@ def best_response_value(g: QuantumGame, player: int, opponent: QubitState) -> fl
     Cauchy-Schwarz on a*x + b*y over normalized (x, y) gives exactly
     sqrt(|a|^2 + |b|^2), so this is the true optimum, not a bound.
     """
-    a, b = _coefficient_pair(g, player, opponent)
-    return math.hypot(abs(a), abs(b))
+    return _pair_norm(_coefficient_pair(_player_matrix(g, player), opponent))
 
 
 def best_response_strategy(g: QuantumGame, player: int, opponent: QubitState) -> QubitState:
     """A strategy attaining best_response_value; |0> when every strategy ties."""
-    a, b = _coefficient_pair(g, player, opponent)
-    norm = math.hypot(abs(a), abs(b))
-    if norm < 1e-15:
-        return KET0
-    v = np.array([np.conj(a), np.conj(b)]) / norm
-    return QubitState(v / np.linalg.norm(v))
+    return _best_strategy(_coefficient_pair(_player_matrix(g, player), opponent))
 
 
 def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) -> EquilibriumCertificate:
@@ -169,16 +185,16 @@ def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) ->
     t1, t2 = g.prefs.player1_target, g.prefs.player2_target
     achieved1 = abs(out.amplitude(t1))
     achieved2 = abs(out.amplitude(t2))
-    best1 = best_response_value(g, 1, p.b)
-    best2 = best_response_value(g, 2, p.a)
+    pair1, pair2 = _coefficient_pairs(g, p)
+    best1, best2 = _pair_norm(pair1), _pair_norm(pair2)
 
     witness = None
     witness_player = None
     if best1 > achieved1 + tol:
-        witness = best_response_strategy(g, 1, p.b)
+        witness = _best_strategy(pair1)
         witness_player = 1
     elif best2 > achieved2 + tol:
-        witness = best_response_strategy(g, 2, p.a)
+        witness = _best_strategy(pair2)
         witness_player = 2
 
     return EquilibriumCertificate(
@@ -208,15 +224,12 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     """Flat pair indices i*n + j and payoff angles of the grid pairs passing both checks, in grid order."""
     thetas, _, x, y = _grid_amplitudes(grid)
     n, per_row = x.size, grid.phi_points
-    u = g.u.mat
-    t1, t2 = g.prefs.player1_target, g.prefs.player2_target
+    m1, m2 = _target_matrices(g)
 
     # Coefficient pairs of each player against every opposing grid strategy.
-    a1 = u[t1, 0] * x + u[t1, 1] * y
-    b1 = u[t1, 2] * x + u[t1, 3] * y
+    a1, b1 = _contract(m1, x, y)
     best1 = np.hypot(np.abs(a1), np.abs(b1))
-    a2 = u[t2, 0] * x + u[t2, 2] * y
-    b2 = u[t2, 1] * x + u[t2, 3] * y
+    a2, b2 = _contract(m2.T, x, y)
     best2 = np.hypot(np.abs(a2), np.abs(b2))
 
     # On theta-row k, |x| = cos(theta_k/2) and |y| = sin(theta_k/2), so a
@@ -387,57 +400,30 @@ def feasibility_region(
     deviation: QubitState,
     resolution: int = 101,
     case_pair: tuple[int, int] = (31, 33),
+    swapped: bool = False,
 ) -> RegionSpec:
     """Boundary samples of the played-moduli region compatible with a deviation.
 
     Solving the player's case inequality for the kept modulus of the
     played strategy gives v >= (dev_kept + slope*dev_flip) - slope*h
-    with slope = q/p (or q'/p'), where h is the played flipped modulus.
-    Requires the p-side coefficient to be non-degenerate; otherwise the
-    swapped form applies.
+    with slope = q/p (or q'/p'), where h is the played flipped modulus;
+    this needs a non-degenerate p-side coefficient.  swapped=True
+    exchanges the two moduli axes and the p/q roles, solving for the
+    flipped modulus with slope p/q; it needs a non-degenerate q-side.
     """
     p_side, q_side = _player_coefficients(coeffs, which_player)
+    dev_kept, dev_flip = abs(deviation.x), abs(deviation.y)
+    if swapped:
+        p_side, q_side, dev_kept, dev_flip = q_side, p_side, dev_flip, dev_kept
     if p_side < TOL.degenerate_coefficient:
-        raise DegenerateCoefficientError(
-            f"p-side coefficient {p_side!r} is degenerate; use feasibility_region_swapped"
-        )
+        side, remedy = ("q", "the region is unconstrained in this form") if swapped else ("p", "use swapped=True")
+        raise DegenerateCoefficientError(f"{side}-side coefficient {p_side!r} is degenerate; {remedy}")
     slope = q_side / p_side
-    constant = abs(deviation.x) + slope * abs(deviation.y)
     return RegionSpec(
         case_pair=case_pair,
         slope1=_ratio_or_inf(coeffs.q, coeffs.p),
         slope2=_ratio_or_inf(coeffs.q_prime, coeffs.p_prime),
-        samples=_sample_boundary(constant, slope, resolution),
+        samples=_sample_boundary(dev_kept + slope * dev_flip, slope, resolution),
         player=which_player,
-        swapped=False,
-    )
-
-
-def feasibility_region_swapped(
-    coeffs: ResponseCoefficients,
-    which_player: int,
-    deviation: QubitState,
-    resolution: int = 101,
-    case_pair: tuple[int, int] = (31, 33),
-) -> RegionSpec:
-    """As feasibility_region with the two moduli axes exchanged.
-
-    Solves for the flipped modulus instead: v >= (dev_flip +
-    (p/q)*dev_kept) - (p/q)*h with h now the played kept modulus.
-    Requires the q-side coefficient to be non-degenerate.
-    """
-    p_side, q_side = _player_coefficients(coeffs, which_player)
-    if q_side < TOL.degenerate_coefficient:
-        raise DegenerateCoefficientError(
-            f"q-side coefficient {q_side!r} is degenerate; the region is unconstrained in this form"
-        )
-    slope = p_side / q_side
-    constant = abs(deviation.y) + slope * abs(deviation.x)
-    return RegionSpec(
-        case_pair=case_pair,
-        slope1=_ratio_or_inf(coeffs.q, coeffs.p),
-        slope2=_ratio_or_inf(coeffs.q_prime, coeffs.p_prime),
-        samples=_sample_boundary(constant, slope, resolution),
-        player=which_player,
-        swapped=True,
+        swapped=swapped,
     )

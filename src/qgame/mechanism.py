@@ -17,19 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibria import EquilibriumCertificate, response_coefficients, verify_equilibrium
-from .game import Play, PreferenceProfile, QuantumGame, outcome, payoffs
-from .gates import CNOT, bell_state
-from .qcore import (
-    KET0,
-    KET1,
-    GameUnitary,
-    QGameError,
-    QubitState,
-    TOL,
-    TwoQubitState,
-    _project_out,
-)
+from .equilibria import EquilibriumCertificate, verify_equilibrium
+from .game import Play, PreferenceProfile, QuantumGame, outcome
+from .gates import bell_state
+from .qcore import KET0, GameUnitary, QGameError, QubitState, TOL, TwoQubitState
+from .qcore import _fill_columns, _project_out, _seeded_unit
 
 
 class SynthesisError(QGameError):
@@ -168,45 +160,13 @@ def _constrained_unit(existing: list[np.ndarray], zero_row: int) -> np.ndarray:
     coords = [r for r in range(4) if r != zero_row]
     forbidden: list[np.ndarray] = []
     for c in existing:
-        r = c[coords].astype(complex)
-        for _ in range(2):
-            for g in forbidden:
-                r = r - np.vdot(g, r) * g
+        r = _project_out(c[coords], forbidden)
         norm = float(np.linalg.norm(r))
         if norm >= 1e-12:
             forbidden.append(r / norm)
-    for local in range(3):
-        r = np.zeros(3, dtype=complex)
-        r[local] = 1.0
-        for _ in range(2):
-            for g in forbidden:
-                r = r - np.vdot(g, r) * g
-        norm = float(np.linalg.norm(r))
-        if norm >= TOL.completion_residual:
-            v = np.zeros(4, dtype=complex)
-            v[coords] = r / norm
-            return v
-    raise SynthesisError("no unit vector satisfies the zero-entry constraint")
-
-
-def _fill_remaining_columns(cols: dict[int, np.ndarray]) -> np.ndarray:
-    for slot in range(4):
-        if slot in cols:
-            continue
-        existing = [cols[c] for c in sorted(cols)]
-        for seed in range(4):
-            residual = _project_out(np.eye(4, dtype=complex)[seed], existing)
-            norm = float(np.linalg.norm(residual))
-            if norm >= TOL.completion_residual:
-                cols[slot] = residual / norm
-                break
-        else:
-            raise SynthesisError("orthonormal completion exhausted all canonical seeds")
-    return np.column_stack([cols[c] for c in range(4)])
-
-
-def _complete_from_column(column: np.ndarray, index: int) -> np.ndarray:
-    return _fill_remaining_columns({index: column.astype(complex)})
+    v = np.zeros(4, dtype=complex)
+    v[coords] = _seeded_unit(forbidden, size=3)[1]
+    return v
 
 
 def _enforce_modulus_cap(mat: np.ndarray, row: int, col: int, cap: float, fixed_col: int) -> np.ndarray:
@@ -260,14 +220,14 @@ def synthesize_mechanism(t: MechanismTarget, mode: str, deviation: QubitState | 
         for zero_row, col in sorted(((t1, flip_a), (t2, flip_b)), key=lambda rc: rc[1]):
             existing = [cols[c] for c in sorted(cols)]
             cols[col] = _constrained_unit(existing, zero_row)
-        return GameUnitary(_fill_remaining_columns(cols))
+        return GameUnitary(_fill_columns(cols))
     if mode == "paper_bound":
         if deviation is None:
             raise ValueError("paper_bound mode requires the deviation the bound is evaluated at")
         cap = _deviation_bound(abs(column[t1]), _basis_component(t.input_play.a, "player one input")[0] == 0)(
             abs(deviation.x), abs(deviation.y)
         )
-        completed = _complete_from_column(column, k)
+        completed = _fill_columns({k: column.astype(complex)})
         return GameUnitary(_enforce_modulus_cap(completed, t1, flip_a, cap, k))
     raise ValueError(f"mode must be 'strict' or 'paper_bound', got {mode!r}")
 
@@ -290,92 +250,6 @@ def certify_mechanism(u: GameUnitary, t: MechanismTarget, tol: float = TOL.equil
         certificate=certificate,
         certified=fidelity >= 1.0 - tol and certificate.is_equilibrium,
     )
-
-
-def _state_pairs(s: QubitState) -> list[list[float]]:
-    return [[float(s.vec[i].real), float(s.vec[i].imag)] for i in range(2)]
-
-
-def _certificate_summary(cert: EquilibriumCertificate) -> dict:
-    summary = {
-        "play": {"player1": _state_pairs(cert.play.a), "player2": _state_pairs(cert.play.b)},
-        "payoffs": [cert.payoff1, cert.payoff2],
-        "achieved": [cert.achieved1, cert.achieved2],
-        "best": [cert.best1, cert.best2],
-        "is_equilibrium": cert.is_equilibrium,
-    }
-    if cert.witness is not None:
-        summary["witness"] = {"player": cert.witness_player, "amplitudes": _state_pairs(cert.witness)}
-    else:
-        summary["witness"] = None
-    return summary
-
-
-def analyze_cnot(tol: float = TOL.equilibrium) -> dict:
-    """Full treatment of the controlled-NOT game with default preferences.
-
-    Certifies the sixteen-point phase sweep of the optimal family
-    (alpha|0>, beta|1>), exhibits the ground play as a non-equilibrium
-    with its improving witness, reports the coefficient closed forms,
-    and records that optimal play uses separable inputs only.
-    """
-    game = QuantumGame(CNOT)
-    phases = [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
-
-    family = []
-    all_certified = True
-    for phase_a in phases:
-        for phase_b in phases:
-            a = QubitState.from_amplitudes(np.exp(1j * phase_a), 0.0)
-            b = QubitState.from_amplitudes(0.0, np.exp(1j * phase_b))
-            cert = verify_equilibrium(game, Play(a, b), tol)
-            all_certified = all_certified and cert.is_equilibrium
-            family.append(
-                {
-                    "alpha_phase": phase_a,
-                    "beta_phase": phase_b,
-                    "is_equilibrium": cert.is_equilibrium,
-                    "payoffs": [cert.payoff1, cert.payoff2],
-                }
-            )
-
-    ground = verify_equilibrium(game, _GROUND_PLAY, tol)
-    coeffs = response_coefficients(game, Play(KET0, KET1))
-
-    return {
-        "gate": "cnot",
-        "preferences": [0, 1],
-        "coefficient_closed_forms": {
-            "p": "|x2*|",
-            "q": "0",
-            "p_prime": "0",
-            "q_prime": "|x1*|",
-        },
-        "coefficients_at_optimal_play": {
-            "play": "(|0>, |1>)",
-            "p": coeffs.p,
-            "q": coeffs.q,
-            "p_prime": coeffs.p_prime,
-            "q_prime": coeffs.q_prime,
-        },
-        "deviation_conditions": [
-            "player one stays best off while |x1| <= |x1*| (weight p = |x2*|)",
-            "player two stays best off while |y2| <= |y2*| (weight q' = |x1*|)",
-        ],
-        "optimal_family": {
-            "description": "(alpha|0>, beta|1>) for any unit-modulus phases alpha, beta",
-            "entries": family,
-            "all_certified": all_certified,
-            "payoffs": list(payoffs(game, Play(KET0, KET1))),
-        },
-        "ground_play_counterexample": _certificate_summary(ground),
-        "separable_optimal_inputs": {
-            "separable": True,
-            "note": "every certified optimal play is a product of single-qubit basis "
-            "states with free phases; reaching the mini-max values needs no "
-            "correlation between the players' inputs",
-        },
-    }
 
 
 def bell_target(prefs: PreferenceProfile | None = None) -> MechanismTarget:

@@ -48,12 +48,17 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def _as_complex_vector(values, size: int, what: str) -> np.ndarray:
+def _unit_vector(values, size: int, what: str) -> np.ndarray:
+    """Read-only complex copy of values, checked for size, finiteness and unit norm."""
     v = np.asarray(values, dtype=complex).reshape(-1)
     if v.shape != (size,):
         raise NormalizationError(f"{what} must have exactly {size} amplitudes, got shape {np.shape(values)}")
     if not np.all(np.isfinite(v)):
         raise NormalizationError(f"{what} contains non-finite amplitudes")
+    norm_sq = float(np.sum(np.abs(v) ** 2))
+    if abs(norm_sq - 1.0) > TOL.state_norm:
+        raise NormalizationError(f"{what} norm^2 = {norm_sq!r} deviates from 1 by more than {TOL.state_norm}")
+    v.setflags(write=False)
     return v
 
 
@@ -64,12 +69,7 @@ class QubitState:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = _as_complex_vector(self.vec, 2, "qubit state")
-        norm_sq = float(np.sum(np.abs(v) ** 2))
-        if abs(norm_sq - 1.0) > TOL.state_norm:
-            raise NormalizationError(f"qubit state norm^2 = {norm_sq!r} deviates from 1 by more than {TOL.state_norm}")
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
+        object.__setattr__(self, "vec", _unit_vector(self.vec, 2, "qubit state"))
 
     @property
     def x(self) -> complex:
@@ -100,12 +100,7 @@ class TwoQubitState:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = _as_complex_vector(self.vec, 4, "two-qubit state")
-        norm_sq = float(np.sum(np.abs(v) ** 2))
-        if abs(norm_sq - 1.0) > TOL.state_norm:
-            raise NormalizationError(f"two-qubit state norm^2 = {norm_sq!r} deviates from 1 by more than {TOL.state_norm}")
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
+        object.__setattr__(self, "vec", _unit_vector(self.vec, 4, "two-qubit state"))
 
     def amplitude(self, index: int) -> complex:
         return complex(self.vec[index])
@@ -177,6 +172,32 @@ def _project_out(v: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
     return r
 
 
+def _seeded_unit(columns: list[np.ndarray], size: int = 4, start: int = 0) -> tuple[int, np.ndarray]:
+    """Index and normalized residual of the first canonical basis vector, from
+    index start on, whose projection against columns clears the completion cutoff."""
+    for k in range(start, size):
+        residual = _project_out(np.eye(size, dtype=complex)[k], columns)
+        norm = float(np.linalg.norm(residual))
+        if norm >= TOL.completion_residual:
+            return k, residual / norm
+    raise QGameError("orthonormal completion exhausted all canonical seeds")
+
+
+def _fill_columns(cols: dict[int, np.ndarray]) -> np.ndarray:
+    """4x4 matrix keeping the given orthonormal columns by slot, the empty slots
+    filled in ascending order with seeded units orthogonal to every earlier column.
+
+    A seed that was skipped or used for an earlier slot only loses residual
+    as columns are added, so each slot's search resumes after the last seed used.
+    """
+    start = 0
+    for slot in range(4):
+        if slot not in cols:
+            seed, cols[slot] = _seeded_unit([cols[c] for c in sorted(cols)], start=start)
+            start = seed + 1
+    return np.column_stack([cols[c] for c in range(4)])
+
+
 def complete_unitary(first_column: TwoQubitState) -> GameUnitary:
     """Deterministic orthonormal completion of a unit vector to a 4x4 unitary.
 
@@ -184,17 +205,7 @@ def complete_unitary(first_column: TwoQubitState) -> GameUnitary:
     ascending index order; a seed is skipped when its residual after
     projection falls below the completion cutoff.
     """
-    cols = [first_column.vec.astype(complex)]
-    for k in range(4):
-        if len(cols) == 4:
-            break
-        residual = _project_out(np.eye(4, dtype=complex)[k], cols)
-        norm = float(np.linalg.norm(residual))
-        if norm >= TOL.completion_residual:
-            cols.append(residual / norm)
-    if len(cols) != 4:
-        raise QGameError("orthonormal completion exhausted all canonical seeds")
-    return GameUnitary(np.column_stack(cols))
+    return GameUnitary(_fill_columns({0: first_column.vec.astype(complex)}))
 
 
 def random_unitary(rng: np.random.Generator) -> GameUnitary:

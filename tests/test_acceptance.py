@@ -18,7 +18,6 @@ from qgame.equilibria import (
     GridSpec,
     best_response_value,
     feasibility_region,
-    feasibility_region_swapped,
     response_coefficients,
     search_equilibria,
     verify_equilibrium,
@@ -178,7 +177,7 @@ def test_criterion_8_region_samples():
                     assert h * h + v * v <= 1.0 + 1e-12
                     checked += 1
             if q_side >= 1e-10:
-                region = feasibility_region_swapped(c, player, deviation, resolution=51)
+                region = feasibility_region(c, player, deviation, resolution=51, swapped=True)
                 for h, v in region.samples:
                     assert p_side * h + q_side * v >= weighted_dev - 1e-9
                     assert h * h + v * v <= 1.0 + 1e-12

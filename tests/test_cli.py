@@ -401,6 +401,33 @@ def test_config_invalid_value_rejected(tmp_path, monkeypatch):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"grid_theta": "61"}, "grid_theta"),
+        ({"tolerance": "1e-9"}, "tolerance"),
+        ({"grid_phi": 40.5}, "grid_phi"),
+        ({"prefs": [0, 1.7]}, "prefs"),
+        ({"prefs": [True, 0]}, "prefs"),
+    ],
+)
+def test_config_mistyped_value_rejected(tmp_path, monkeypatch, payload, key):
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    monkeypatch.setenv("QGAME_CONFIG", cfg)
+    code, out, err = run_cli(["verify", "cnot", "--play", "1", "0", "0", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and key in err
+
+
+def test_config_oracle_keys_are_unknown(tmp_path, monkeypatch):
+    cfg = write_json(tmp_path / "cfg.json", {"oracle_theta": 181, "oracle_phi": 360})
+    monkeypatch.setenv("QGAME_CONFIG", cfg)
+    code, _, err = run_cli(["verify", "cnot", "--play", "1", "0", "0", "1"])
+    assert code == 2
+    assert "unknown keys: oracle_phi, oracle_theta" in err
+
+
 def test_config_bad_json_rejected(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

@@ -18,14 +18,13 @@ from qgame.equilibria import (
     best_response_value,
     case_inequality_holds,
     feasibility_region,
-    feasibility_region_swapped,
     response_coefficients,
     search_equilibria,
     verify_equilibrium,
 )
 from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
 from qgame.gates import BELL_CIRCUIT, CNOT, CZ, IDENTITY, LIBRARY, SWAP
-from qgame.qcore import KET0, KET1, TOL, QubitState, random_qubit_state, random_unitary
+from qgame.qcore import KET0, KET1, TOL, GameUnitary, QubitState, random_qubit_state, random_unitary
 
 S2 = 1.0 / math.sqrt(2.0)
 ALL_PREFS = [(i, j) for i in range(4) for j in range(4) if i != j]
@@ -210,6 +209,48 @@ def test_witness_actually_improves():
         assert got == pytest.approx(best, abs=1e-12)
         assert got > old + 1e-9
     assert seen > 50  # random plays are almost never equilibria
+
+
+def test_player_swap_is_a_symmetry():
+    """Conjugating U by SWAP and exchanging the players' roles swaps every per-player quantity.
+
+    With sigma swapping outcomes |01> and |10>, the game (S U S, (sigma(t2),
+    sigma(t1))) at play (b, a) is the game (U, (t1, t2)) at play (a, b)
+    with the players relabelled, so player one's contraction in one is
+    player two's transposed contraction in the other.
+    """
+    sigma = (0, 2, 1, 3)
+    swap = SWAP.mat
+    rng = np.random.default_rng(2718)
+    verdicts = set()
+    for _ in range(10):
+        u = random_unitary(rng)
+        conjugated = GameUnitary(swap @ u.mat @ swap)
+        for t1, t2 in ALL_PREFS:
+            g = QuantumGame(u, PreferenceProfile(t1, t2))
+            h = QuantumGame(conjugated, PreferenceProfile(sigma[t2], sigma[t1]))
+            # Eigenvectors of K = conj(M1) M2^T against player two's best
+            # response are equilibria; random plays almost never are.
+            k = np.conj(u.mat[t1].reshape(2, 2)) @ u.mat[t2].reshape(2, 2).T
+            plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(2)]
+            for v in np.linalg.eig(k)[1].T:
+                a = QubitState(v / np.linalg.norm(v))
+                plays.append(Play(a, best_response_strategy(g, 2, a)))
+            for play in plays:
+                c = verify_equilibrium(g, play)
+                d = verify_equilibrium(h, Play(play.b, play.a))
+                assert d.achieved1 == pytest.approx(c.achieved2, abs=1e-12)
+                assert d.achieved2 == pytest.approx(c.achieved1, abs=1e-12)
+                assert d.best1 == pytest.approx(c.best2, abs=1e-12)
+                assert d.best2 == pytest.approx(c.best1, abs=1e-12)
+                assert d.payoff1 == pytest.approx(c.payoff2, abs=1e-9)
+                assert d.payoff2 == pytest.approx(c.payoff1, abs=1e-9)
+                assert d.is_equilibrium == c.is_equilibrium
+                verdicts.add(c.is_equilibrium)
+                rc, rd = response_coefficients(g, play), response_coefficients(h, Play(play.b, play.a))
+                assert (rd.p, rd.q) == pytest.approx((rc.p_prime, rc.q_prime), abs=1e-12)
+                assert (rd.p_prime, rd.q_prime) == pytest.approx((rc.p, rc.q), abs=1e-12)
+    assert verdicts == {True, False}  # both verdicts must be exercised
 
 
 # ------------------------------------------------------------------- search
@@ -476,7 +517,7 @@ def test_region_degenerate_p_side_raises():
     c = ResponseCoefficients(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(DegenerateCoefficientError):
         feasibility_region(c, 1, KET0)
-    region = feasibility_region_swapped(c, 1, KET0)
+    region = feasibility_region(c, 1, KET0, swapped=True)
     assert region.swapped
     # q-side only: deviation |0> puts no mass on the constrained axis
     assert all(v == 0.0 for _, v in region.samples)
@@ -488,14 +529,14 @@ def test_region_swapped_cnot_ground_player_two():
     c = response_coefficients(g, Play(KET0, KET0))  # (1, 0, 0, 1)
     with pytest.raises(DegenerateCoefficientError):
         feasibility_region(c, 2, KET1)
-    region = feasibility_region_swapped(c, 2, KET1)
+    region = feasibility_region(c, 2, KET1, swapped=True)
     assert region.samples == ((0.0, 1.0),)
 
 
 def test_region_swapped_degenerate_q_side_raises():
     c = ResponseCoefficients(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(DegenerateCoefficientError):
-        feasibility_region_swapped(c, 1, KET0)
+        feasibility_region(c, 1, KET0, swapped=True)
 
 
 def test_region_case_pair_passthrough_and_validation():
@@ -527,7 +568,7 @@ def test_region_samples_satisfy_generating_inequality():
                     )
                     assert h * h + v * v <= 1.0 + 1e-12
             if q_side >= 1e-10:
-                region = feasibility_region_swapped(c, player, dev, resolution=41)
+                region = feasibility_region(c, player, dev, resolution=41, swapped=True)
                 for h, v in region.samples:
                     assert p_side * h + q_side * v >= (
                         p_side * abs(dev.x) + q_side * abs(dev.y) - 1e-9

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
-from qgame.gates import BELL_CIRCUIT, BELL_MECHANISM, CNOT, IDENTITY, bell_state
+from qgame.game import Play, PreferenceProfile
+from qgame.gates import BELL_CIRCUIT, BELL_MECHANISM, IDENTITY, bell_state
 from qgame.mechanism import (
     MechanismTarget,
     SynthesisError,
-    analyze_cnot,
     bell_target,
     certify_mechanism,
     derive_constraints,
@@ -283,42 +282,6 @@ def test_exposed_player_two_entry_fails_equilibrium():
     assert cert.fidelity >= 1.0 - 1e-12
     assert not cert.certificate.is_equilibrium
     assert cert.certificate.witness_player == 2
-
-
-# -------------------------------------------------------------- cnot report
-
-
-def test_analyze_cnot_report():
-    report = analyze_cnot()
-    forms = report["coefficient_closed_forms"]
-    assert forms == {"p": "|x2*|", "q": "0", "p_prime": "0", "q_prime": "|x1*|"}
-    at_optimal = report["coefficients_at_optimal_play"]
-    assert (at_optimal["p"], at_optimal["q"]) == (0.0, 0.0)
-    assert (at_optimal["p_prime"], at_optimal["q_prime"]) == (0.0, 1.0)
-
-    family = report["optimal_family"]
-    assert family["all_certified"] is True
-    assert len(family["entries"]) == 16
-    for entry in family["entries"]:
-        assert entry["is_equilibrium"]
-        assert entry["payoffs"][0] == pytest.approx(math.pi / 2, abs=1e-12)
-        assert entry["payoffs"][1] == pytest.approx(0.0, abs=1e-12)
-    assert family["payoffs"] == [math.pi / 2, 0.0]
-
-    ground = report["ground_play_counterexample"]
-    assert not ground["is_equilibrium"]
-    assert ground["witness"]["player"] == 2
-    assert report["separable_optimal_inputs"]["separable"] is True
-
-
-def test_analyze_cnot_ground_witness_reaches_full_amplitude():
-    report = analyze_cnot()
-    witness = report["ground_play_counterexample"]["witness"]
-    assert witness["player"] == 2
-    wx, wy = witness["amplitudes"]
-    w = QubitState(np.array([complex(*wx), complex(*wy)]))
-    amp = abs(outcome(QuantumGame(CNOT), Play(KET0, w)).amplitude(1))
-    assert amp == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_target_defaults():
