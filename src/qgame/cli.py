@@ -17,6 +17,7 @@ command line flags override it.  Exit status: 0 for success (including
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -38,7 +39,7 @@ from .equilibria import (
     verify_equilibrium,
 )
 from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoff_angle
-from .gates import LIBRARY, bell_state, gate_to_json_dict, load_gate_file, save_gate_file
+from .gates import LIBRARY, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file, save_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
 from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState
 
@@ -413,12 +414,11 @@ def _load_target_state(token: str) -> tuple[str, TwoQubitState]:
         raise QGameError(f"cannot read target file {token}: {exc}") from None
     amplitudes = data.get("amplitudes") if isinstance(data, dict) else data
     name = data.get("name", path.stem) if isinstance(data, dict) else path.stem
+    if not isinstance(name, str):
+        raise QGameError("target file 'name' must be a string")
     if not (isinstance(amplitudes, list) and len(amplitudes) == 4):
         raise QGameError("target file must hold four [re, im] amplitude pairs under 'amplitudes'")
-    try:
-        vec = np.array([complex(float(entry[0]), float(entry[1])) for entry in amplitudes], dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise QGameError(f"target amplitudes must be [re, im] number pairs: {exc}") from None
+    vec = np.array(complex_from_pairs(amplitudes, "target amplitudes"), dtype=complex)
     return name, TwoQubitState(_renormalized(vec, "target"))
 
 
@@ -476,6 +476,7 @@ def cmd_gates(args) -> int:
 # parser wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgame", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -500,13 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="payoff table, coefficients, and grid equilibrium search")
     p.add_argument("gate", help="library gate name or gate file path")
     common(p, grid=True, csv=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="certify one play; exit 1 when it is not an equilibrium")
     p.add_argument("gate")
     play_args(p)
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("region", help="sample deviation-inequality feasibility boundaries")
     p.add_argument("gate")
@@ -517,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="deviation as Bloch angles theta,phi; default pi,0")
     p.add_argument("--resolution", type=int, default=101, help="boundary samples across [0, 1]")
     common(p, csv=True)
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("mechanism", help="derive constraints, synthesize, and certify a mechanism")
     p.add_argument("target", help="'bell' or a JSON file with four [re, im] amplitude pairs")
@@ -525,25 +523,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deviation", type=_pair_arg, default=(math.pi, 0.0), metavar="T,P",
                    help="deviation the paper_bound cap is evaluated at; default pi,0")
     common(p)
-    p.set_defaults(func=cmd_mechanism)
 
     p = sub.add_parser("gates", help="inspect the built-in gate library")
     gates_sub = p.add_subparsers(dest="gates_command", required=True)
     lp = gates_sub.add_parser("list", help="list library gates")
     lp.add_argument("--out")
-    lp.set_defaults(func=cmd_gates)
     sp = gates_sub.add_parser("show", help="print one gate in gate-file JSON")
     sp.add_argument("name")
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_gates)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up on each call, not stored in the parser built once, so a wrapped cmd_* function runs.
+    commands = {"analyze": cmd_analyze, "verify": cmd_verify, "region": cmd_region,
+                "mechanism": cmd_mechanism, "gates": cmd_gates}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (QGameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -220,10 +220,37 @@ def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return thetas, phis, x, y
 
 
+# Rounding guards of _candidate_pairs' pole-copy shortcut: over 100x the measured
+# copy-to-representative gaps (5.6e-16 in achieved and best, 1.1e-15 in achieved^2),
+# and _CELL_GUARD < 1.25e-13, the distance from achieved^2 = 1 to a payoff cell edge.
+_PASS_GUARD = 1e-12
+_CELL_GUARD = 1.2e-13
+
+
+def _payoff(achieved_sq: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(achieved_sq, 0.0, 1.0))
+
+
+def _phase_copies(index: int, grid: GridSpec) -> np.ndarray:
+    """Grid index of a strategy followed by its phase copies: the rest of its row for a pole representative."""
+    if index in (0, (grid.theta_points - 1) * grid.phi_points):
+        return np.arange(index, index + grid.phi_points)
+    return np.array([index])
+
+
 def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat pair indices i*n + j and payoff angles of the grid pairs passing both checks, in grid order."""
+    """Flat pair indices i*n + j and payoff angles of passing grid pairs, in grid order.
+
+    Returns every passing pair that can be the first pair of its rounded
+    payoff cell.  The theta = 0 and theta = pi rows hold phase copies of
+    |0> and |1> that differ from their phi = 0 representative by rounding
+    only and come after it in grid order, so a copy pair passes with its
+    representative pair, in its cell, unless that pair is fragile: within
+    _PASS_GUARD of a pass threshold, or in another cell once achieved^2
+    moves by _CELL_GUARD.  Copies are scanned for fragile pairs only.
+    """
     thetas, _, x, y = _grid_amplitudes(grid)
-    n, per_row = x.size, grid.phi_points
+    n, per_row, last = x.size, grid.phi_points, x.size - grid.phi_points
     m1, m2 = _target_matrices(g)
 
     # Coefficient pairs of each player against every opposing grid strategy.
@@ -232,6 +259,18 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     a2, b2 = _contract(m2.T, x, y)
     best2 = np.hypot(np.abs(a2), np.abs(b2))
 
+    def check(i, j):
+        achieved1 = np.abs(x[i] * a1[j] + y[i] * b1[j])
+        achieved2 = np.abs(a2[i] * x[j] + b2[i] * y[j])
+        return (achieved1 >= best1[j] - tol) & (achieved2 >= best2[i] - tol), achieved1, achieved2
+
+    found = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0))]  # pair index, achieved1, achieved2
+
+    def scan(rows, cols):
+        ok, achieved1, achieved2 = check(rows[:, None], cols)
+        ii, jj = np.nonzero(ok)
+        found.append((rows[ii] * n + cols[jj], achieved1[ii, jj], achieved2[ii, jj]))
+
     # On theta-row k, |x| = cos(theta_k/2) and |y| = sin(theta_k/2), so a
     # deviator's achieved modulus there is at most cos*|a| + sin*|b|.  A row
     # whose bound is below best - tol (less a rounding guard) cannot pass.
@@ -239,20 +278,29 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     reach1 = cos_k * np.abs(a1) + sin_k * np.abs(b1) >= best1 - tol - 1e-12  # [row of i, j]
     reach2 = cos_k * np.abs(a2) + sin_k * np.abs(b2) >= best2 - tol - 1e-12  # [row of j, i]
     rows2 = reach2.reshape(thetas.size, thetas.size, per_row).any(axis=2)  # [row of j, row of i]
-    keep = reach1 & np.repeat(rows2.T, per_row, axis=1)
-
-    index, pay1, pay2 = [], [], []
+    copy = np.isin(np.arange(n), np.r_[1:per_row, last + 1 : n])  # phi > 0 on the two pole rows
+    keep = reach1 & np.repeat(rows2.T, per_row, axis=1) & ~copy
     for k in range(thetas.size):
-        rows, cols = slice(k * per_row, (k + 1) * per_row), np.flatnonzero(keep[k])
-        achieved1 = np.abs(x[rows, None] * a1[cols] + y[rows, None] * b1[cols])
-        ok = achieved1 >= best1[cols] - tol
-        achieved2 = np.abs(a2[rows, None] * x[cols] + b2[rows, None] * y[cols])
-        ok &= achieved2 >= best2[rows, None] - tol
-        ii, jj = np.nonzero(ok)
-        index.append((k * per_row + ii).astype(np.int64) * n + cols[jj])
-        pay1.append(np.arccos(np.clip(achieved1[ii, jj] ** 2, 0.0, 1.0)))
-        pay2.append(np.arccos(np.clip(achieved2[ii, jj] ** 2, 0.0, 1.0)))
-    return np.concatenate(index), np.concatenate(pay1), np.concatenate(pay2)
+        cols = np.flatnonzero(keep[k])
+        if cols.size:
+            scan(np.arange(k * per_row, k * per_row + (1 if k in (0, thetas.size - 1) else per_row)), cols)
+
+    # Every representative pair with a pole, whether pruned or not.
+    reps = np.flatnonzero(~copy)
+    i = np.concatenate([np.repeat([0, last], reps.size), np.repeat(reps[1:-1], 2)])
+    j = np.concatenate([np.tile(reps, 2), np.tile([0, last], reps.size - 2)])
+    ok, achieved1, achieved2 = check(i, j)
+    fragile = (np.abs(achieved1 - (best1[j] - tol)) <= _PASS_GUARD) | (np.abs(achieved2 - (best2[i] - tol)) <= _PASS_GUARD)
+    for achieved_sq in (achieved1[ok] ** 2, achieved2[ok] ** 2):
+        lo, hi = (np.round(_payoff(achieved_sq + d) / TOL.payoff_dedup) for d in (-_CELL_GUARD, _CELL_GUARD))
+        fragile[ok] |= lo != hi
+    for f in np.flatnonzero(fragile):
+        scan(_phase_copies(i[f], grid), _phase_copies(j[f], grid))
+
+    # A fragile representative pair is scanned twice; np.unique keeps one, in grid order.
+    index, achieved1, achieved2 = (np.concatenate(parts) for parts in zip(*found))
+    order = np.unique(index, return_index=True)[1] if fragile.any() else slice(None)
+    return index[order], _payoff(achieved1[order] ** 2), _payoff(achieved2[order] ** 2)
 
 
 def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:
@@ -280,16 +328,11 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
     """Equilibrium scan over all grid strategy pairs.
 
     Both players range over the same Bloch grid.  A pair is a candidate
-    when both closed-form deviation checks pass at slack tol.  Player
-    one's achieved modulus on one of their theta-rows is bounded by
-    cos(theta/2)|a| + sin(theta/2)|b| (Cauchy-Schwarz on the row's fixed
-    amplitude moduli), and likewise for player two; the exact checks run
-    only on the row-by-column blocks where both bounds reach the best
-    response value, so the candidates equal those of the dense scan.
-    Candidates are de-duplicated by payoff-vector proximity, first in
-    grid order winning; rounded payoff cells are bucketed, so each pair
-    is compared only with the kept pairs in nearby cells.  The survivors
-    are re-certified one by one.
+    when both closed-form deviation checks pass at slack tol; the checks
+    skip blocks a Cauchy-Schwarz bound rules out and the poles' phase
+    copies (see _candidate_pairs).  Candidates are de-duplicated by payoff
+    proximity, first in grid order winning, in rounded payoff-cell buckets,
+    exactly as if every pair were tested; survivors are re-certified.
     """
     thetas, phis, _, _ = _grid_amplitudes(grid)
     pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)

@@ -100,6 +100,20 @@ def gate_to_json_dict(name: str, u: GameUnitary) -> dict:
     }
 
 
+def complex_from_pairs(entries: list, what: str) -> list[complex]:
+    """Values of JSON [re, im] pairs, each a list of exactly two int or float numbers (bool is not one)."""
+    values = []
+    for entry in entries:
+        re, im = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))) or isinstance(re, bool) or isinstance(im, bool):
+            raise QGameError(f"{what} must be [re, im] number pairs")
+        try:
+            values.append(complex(re, im))
+        except OverflowError as exc:
+            raise QGameError(f"{what} must be [re, im] number pairs: {exc}") from None
+    return values
+
+
 def gate_from_json_dict(data: dict) -> tuple[str, GameUnitary]:
     if not isinstance(data, dict) or "matrix" not in data:
         raise QGameError("gate file must be a JSON object with a 'matrix' field")
@@ -109,14 +123,8 @@ def gate_from_json_dict(data: dict) -> tuple[str, GameUnitary]:
     matrix = data["matrix"]
     if not (isinstance(matrix, list) and len(matrix) == 4 and all(isinstance(r, list) and len(r) == 4 for r in matrix)):
         raise QGameError("gate file 'matrix' must be a 4x4 array of [re, im] pairs")
-    try:
-        mat = np.array(
-            [[complex(float(entry[0]), float(entry[1])) for entry in row] for row in matrix],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise QGameError(f"gate file 'matrix' entries must be [re, im] number pairs: {exc}") from None
-    return name, GameUnitary(mat)
+    rows = [complex_from_pairs(row, "gate file 'matrix' entries") for row in matrix]
+    return name, GameUnitary(np.array(rows, dtype=complex))
 
 
 def save_gate_file(path: str | Path, name: str, u: GameUnitary) -> None:

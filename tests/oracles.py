@@ -8,8 +8,11 @@ code.
 
 dense_candidate_pairs and quadratic_dedup are the plain forms of the
 equilibrium search's two phases: every grid pair is tested, and every
-payoff pair is compared with every kept one.  The library's pruned scan
-and bucketed dedup must reproduce them bit for bit.
+payoff pair is compared with every kept one.  The library's scan returns
+fewer candidates, since it leaves out the pole phase copies that can
+never be the first pair of their payoff cell, so what must match is the
+dedup's output: the library's pruned scan and bucketed dedup must keep
+the oracles' representatives, pair indices and payoff bits, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ def sweep_max_improvements(
 def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every grid pair tested, blocked over player one's grid index.
 
-    Same contract as qgame.equilibria._candidate_pairs: flat pair indices
-    i*n + j and the two payoff angles of the passing pairs, in grid order.
+    Flat pair indices i*n + j and the two payoff angles of every passing
+    pair, in grid order: qgame.equilibria._candidate_pairs returns a
+    subset of these that quadratic_dedup reduces to the same pairs.
     """
     thetas = np.linspace(0.0, np.pi, grid.theta_points)
     phis = np.linspace(0.0, 2.0 * np.pi, grid.phi_points, endpoint=False)

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import run_cli
 from oracles import dense_candidate_pairs, quadratic_dedup
-from qgame import equilibria
+from qgame import cli, equilibria
 from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file
 from qgame.qcore import check_unitary
 
@@ -169,6 +169,12 @@ def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
     dense = [run_cli(args) for args in runs]
     assert fast == dense
     assert all(code == 0 and out for code, out, _ in fast)
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert run_cli(["verify", "cnot", "--play", "1", "0", "0", "1"])[0] == 7
 
 
 # -------------------------------------------------------------------- region
@@ -344,6 +350,44 @@ def test_gates_show_unknown_exits_two():
     code, _, err = run_cli(["gates", "show", "nosuch"])
     assert code == 2
     assert "known gates" in err
+
+
+def identity_entries(entry):
+    """The identity matrix in gate-file form with its (0, 0) entry replaced."""
+    rows = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+    rows[0][0] = entry
+    return rows
+
+
+@pytest.mark.parametrize("entry", [[True, 0, "junk"], ["1.0", 0], [True, 0], [1.0], [1.0, 0.0, 0.0]])
+def test_gate_file_with_non_number_pairs_exits_two(tmp_path, entry):
+    path = write_json(tmp_path / "bad.json", {"name": "bad", "matrix": identity_entries(entry)})
+    code, out, err = run_cli(["analyze", path, "--grid-theta", "3", "--grid-phi", "4"])
+    assert (code, out) == (2, "")
+    assert "[re, im] number pairs" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"amplitudes": [[True, 0], [0, 0], [0, 0], [0, 0]], "name": ["x"]},
+        {"amplitudes": [[True, 0], [0, 0], [0, 0], [0, 0]], "name": "x"},
+        {"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "name": ["x"]},
+        {"amplitudes": [["1.0", 0], [0, 0], [0, 0], [0, 0]]},
+    ],
+)
+def test_mechanism_target_with_bad_fields_exits_two(tmp_path, payload):
+    path = write_json(tmp_path / "target.json", payload)
+    code, out, err = run_cli(["mechanism", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: target")
+
+
+def test_mechanism_target_accepts_int_amplitudes(tmp_path):
+    path = write_json(tmp_path / "target.json", {"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "name": "ground"})
+    code, out, _ = run_cli(["mechanism", path])
+    assert code == 0
+    assert json.loads(out)["target"] == "ground"
 
 
 def test_gate_file_survives_show_and_reload(tmp_path):

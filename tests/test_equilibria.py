@@ -301,11 +301,20 @@ def test_search_representatives_recertify():
             assert again.is_equilibrium
 
 
-def assert_same_candidates(got, expected):
-    """Pair indices and payoff angles equal bit for bit, order included."""
-    for mine, theirs in zip(got, expected):
-        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
-        assert mine.tobytes() == theirs.tobytes()
+def representatives(candidates, dedup):
+    """Pair indices and payoff angles of the candidates a dedup keeps, as bytes."""
+    index, payoff1, payoff2 = candidates
+    kept = dedup(payoff1, payoff2, TOL.payoff_dedup)
+    return [(a.dtype.str, a[kept].tobytes()) for a in (index, payoff1, payoff2)]
+
+
+def assert_same_representatives(g, grid, tol):
+    """The pruned scan and bucketed dedup keep the dense oracle's pairs, bit for bit."""
+    expected = dense_candidate_pairs(g, grid, tol)
+    got = equilibria._candidate_pairs(g, grid, tol)
+    assert np.all(np.diff(got[0]) > 0)  # grid order, each pair once
+    assert representatives(got, equilibria._dedup_payoffs) == representatives(expected, quadratic_dedup)
+    return expected
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-2])
@@ -314,17 +323,14 @@ def test_pruned_scan_matches_dense_oracle_on_library(tol):
     for entry in LIBRARY.values():
         for prefs in ALL_PREFS:
             g = QuantumGame(entry.unitary, PreferenceProfile(*prefs))
-            expected = dense_candidate_pairs(g, grid, tol)
+            expected = assert_same_representatives(g, grid, tol)
             assert expected[0].size  # every library game has grid equilibria
-            assert_same_candidates(equilibria._candidate_pairs(g, grid, tol), expected)
 
 
 @pytest.mark.parametrize("gate", [CNOT, BELL_CIRCUIT], ids=["cnot", "bell_circuit"])
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-2])
 def test_pruned_scan_matches_dense_oracle_at_default_grid(gate, tol):
-    g = QuantumGame(gate)
-    grid = GridSpec()
-    assert_same_candidates(equilibria._candidate_pairs(g, grid, tol), dense_candidate_pairs(g, grid, tol))
+    assert_same_representatives(QuantumGame(gate), GridSpec(), tol)
 
 
 def test_pruned_scan_matches_dense_oracle_on_random_games():
@@ -333,10 +339,87 @@ def test_pruned_scan_matches_dense_oracle_on_random_games():
     found = 0
     for _ in range(12):
         g = QuantumGame(random_unitary(rng), random_prefs(rng))
-        expected = dense_candidate_pairs(g, grid, 1e-2)
-        found += expected[0].size > 0
-        assert_same_candidates(equilibria._candidate_pairs(g, grid, 1e-2), expected)
+        found += assert_same_representatives(g, grid, 1e-2)[0].size > 0
     assert found >= 6  # the loose slack admits candidates on most random games
+
+
+def count_phase_copies(monkeypatch) -> list:
+    """Record, for every copy-path lookup, how many strategies it expanded to."""
+    calls = []
+    original = equilibria._phase_copies
+
+    def counted(index, grid):
+        copies = original(index, grid)
+        calls.append(copies.size)
+        return copies
+
+    monkeypatch.setattr(equilibria, "_phase_copies", counted)
+    return calls
+
+
+def test_pole_copy_path_matches_dense_oracle_with_wide_guards(monkeypatch):
+    monkeypatch.setattr(equilibria, "_PASS_GUARD", 1e-2)
+    monkeypatch.setattr(equilibria, "_CELL_GUARD", 1e-7)
+    calls = count_phase_copies(monkeypatch)
+    grid = GridSpec(13, 24)
+    for tol in (1e-9, 1e-2):
+        for entry in LIBRARY.values():
+            for prefs in ALL_PREFS:
+                assert_same_representatives(QuantumGame(entry.unitary, PreferenceProfile(*prefs)), grid, tol)
+    rng = np.random.default_rng(89)
+    for _ in range(6):
+        assert_same_representatives(QuantumGame(random_unitary(rng), random_prefs(rng)), GridSpec(21, 40), 1e-2)
+    assert sum(size > 1 for size in calls) > 100  # many fragile pairs had their pole copies scanned
+
+
+def theta_pi_copy_checks(g, grid, j, tol):
+    """Player one's achieved moduli and both pass flags for the theta = pi row against strategy j."""
+    _, _, x, y = equilibria._grid_amplitudes(grid)
+    m1, m2 = equilibria._target_matrices(g)
+    (a1, b1), (a2, b2) = equilibria._contract(m1, x, y), equilibria._contract(m2.T, x, y)
+    copies = np.arange(x.size - grid.phi_points, x.size)
+    achieved1 = np.abs(x[copies] * a1[j] + y[copies] * b1[j])
+    achieved2 = np.abs(a2[copies] * x[j] + b2[copies] * y[j])
+    best1, best2 = np.hypot(np.abs(a1[j]), np.abs(b1[j])), np.hypot(np.abs(a2[copies]), np.abs(b2[copies]))
+    return achieved1, best1, achieved1 >= best1 - tol, achieved2 >= best2 - tol
+
+
+def test_pole_copy_path_keeps_a_copy_pair_its_representative_loses(monkeypatch):
+    """At a tol on the edge of player one's check, a theta = pi copy pair passes where its representative fails.
+
+    The scan keeps the dense oracle's representatives there; with the pass
+    guard closed, so that no pair is fragile, it loses one.
+    """
+    grid = GridSpec(13, 24)
+    rng = np.random.default_rng(9)
+    g = QuantumGame(random_unitary(rng), random_prefs(rng))
+
+    def kept(scan, tol):
+        # The bucketed dedup, which matches quadratic_dedup above, is far faster at so loose a tol.
+        return representatives(scan(g, grid, tol), equilibria._dedup_payoffs)
+
+    for j in range(grid.phi_points, grid.phi_points * (grid.theta_points - 1)):
+        achieved1, best1, _, _ = theta_pi_copy_checks(g, grid, j, 0.0)
+        tol, best = best1 - achieved1.max(), achieved1.argmax()
+        _, _, pass1, pass2 = theta_pi_copy_checks(g, grid, j, tol)
+        if not (pass1[best] and pass2[best] and not pass1[0]):
+            continue
+        dense = kept(dense_candidate_pairs, tol)
+        assert kept(equilibria._candidate_pairs, tol) == dense
+        monkeypatch.setattr(equilibria, "_PASS_GUARD", -1.0)
+        if kept(equilibria._candidate_pairs, tol) != dense:
+            return
+        monkeypatch.undo()
+    pytest.fail("no tolerance found at which a copy pair decides the result")
+
+
+def test_library_scan_evaluates_no_pole_copies(monkeypatch):
+    """Regression guard: no library representative is fragile, so the scan never expands poles."""
+    calls = count_phase_copies(monkeypatch)
+    for entry in LIBRARY.values():
+        for prefs in ALL_PREFS:
+            equilibria._candidate_pairs(QuantumGame(entry.unitary, PreferenceProfile(*prefs)), GridSpec(13, 24), 1e-9)
+    assert calls == []
 
 
 def half_cell_payoffs(step):

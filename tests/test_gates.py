@@ -101,6 +101,13 @@ def test_gate_from_json_rejects_malformed():
         gate_from_json_dict({"name": "x"})
     with pytest.raises(QGameError):
         gate_from_json_dict({"name": "x", "matrix": [[[1, 0]] * 3] * 4})
+    for entry in ([True, 0], [1, 0, "junk"], ["1.0", 0], [1], (1, 0), [None, 0]):
+        matrix = [[[1, 0] if r == c else [0, 0] for c in range(4)] for r in range(4)]
+        matrix[3][3] = entry
+        with pytest.raises(QGameError, match="number pairs"):
+            gate_from_json_dict({"name": "x", "matrix": matrix})
+    with pytest.raises(QGameError, match="number pairs"):
+        gate_from_json_dict({"name": "x", "matrix": [[[10**400, 0]] * 4] * 4})
 
 
 def test_gate_file_round_trip(tmp_path):
