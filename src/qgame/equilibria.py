@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Play, QuantumGame, StrategyParams, outcome, payoff_angle
-from .qcore import KET0, QGameError, QubitState, TOL
+from .game import Play, QuantumGame, _modulus_payoff, outcome
+from .qcore import KET0, TOL, QGameError, QubitState, _apply_rows, _qubit_states, _tensor_rows, _unit_rows
 
 
 class DegenerateCoefficientError(QGameError):
@@ -112,9 +112,15 @@ def _target_matrices(g: QuantumGame) -> tuple[np.ndarray, np.ndarray]:
     return u[g.prefs.player1_target].reshape(2, 2), u[g.prefs.player2_target].reshape(2, 2)
 
 
-def _contract(m: np.ndarray, x, y):
-    """m @ (x, y), written elementwise so scalars and grid arrays round alike."""
-    return m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
+def _contract(m, x, y):
+    """m @ (x, y) for a 2x2 m, written out for scalars and grid arrays alike.
+
+    m may be an array or nested lists.  Scalars and arrays do not round
+    alike: numpy's array complex multiply differs in the last ulp from the
+    scalar product in about half of random cases, so a grid check can
+    disagree at the margin with the certificate of the same play.
+    """
+    return m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
 
 
 def _coefficient_pair(m: np.ndarray, opponent: QubitState) -> tuple[complex, complex]:
@@ -179,36 +185,68 @@ def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) ->
     The play is certified when each player's achieved target amplitude
     is within tol of their best response value.  On failure the witness
     is the best-response strategy of the first improving player, so
-    applying it raises that player's amplitude by more than tol.
+    applying it raises that player's amplitude by more than tol.  This is
+    verify_equilibria for one play, whose certificate carries p itself.
     """
-    out = outcome(g, p)
+    return _certify(g, p.a.vec[None], p.b.vec[None], [p], tol)[0]
+
+
+def verify_equilibria(g: QuantumGame, a, b, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
+    """verify_equilibrium for the plays (a[k], b[k]) of two (n, 2) strategy arrays, in one pass.
+
+    Each row must be a valid QubitState vector; an invalid row raises
+    NormalizationError as QubitState would.  Every certificate equals
+    verify_equilibrium's for the same play, bit for bit.
+    """
+    a, b = _unit_rows(a, 2, "qubit state"), _unit_rows(b, 2, "qubit state")
+    if a.shape != b.shape:
+        raise ValueError(f"strategy arrays hold {a.shape[0]} and {b.shape[0]} rows")
+    return _certify(g, a, b, [Play(x, y) for x, y in zip(_qubit_states(a), _qubit_states(b))], tol)
+
+
+def _certify(g: QuantumGame, a: np.ndarray, b: np.ndarray, plays: list[Play], tol: float) -> list[EquilibriumCertificate]:
+    """Certificates of the plays whose checked strategy rows are a and b.
+
+    The joint states are built and mapped through U for all rows at once,
+    rounded as tensor and apply round each row.  Everything after that is
+    per-row Python complex and float arithmetic, which rounds as the numpy
+    scalars of a single play do; numpy's array abs, hypot and complex
+    multiply do not.
+    """
+    out = _apply_rows(g.u, _tensor_rows(a, b))
     t1, t2 = g.prefs.player1_target, g.prefs.player2_target
-    achieved1 = abs(out.amplitude(t1))
-    achieved2 = abs(out.amplitude(t2))
-    pair1, pair2 = _coefficient_pairs(g, p)
-    best1, best2 = _pair_norm(pair1), _pair_norm(pair2)
+    m1, m2 = _target_matrices(g)
+    m1, m2t = m1.tolist(), m2.T.tolist()
+    certificates = []
+    for play, (ax, ay), (bx, by), amplitudes in zip(plays, a.tolist(), b.tolist(), out.tolist()):
+        achieved1, achieved2 = abs(amplitudes[t1]), abs(amplitudes[t2])
+        pair1, pair2 = _contract(m1, bx, by), _contract(m2t, ax, ay)
+        best1, best2 = _pair_norm(pair1), _pair_norm(pair2)
 
-    witness = None
-    witness_player = None
-    if best1 > achieved1 + tol:
-        witness = _best_strategy(pair1)
-        witness_player = 1
-    elif best2 > achieved2 + tol:
-        witness = _best_strategy(pair2)
-        witness_player = 2
+        witness = None
+        witness_player = None
+        if best1 > achieved1 + tol:
+            witness = _best_strategy(pair1)
+            witness_player = 1
+        elif best2 > achieved2 + tol:
+            witness = _best_strategy(pair2)
+            witness_player = 2
 
-    return EquilibriumCertificate(
-        play=p,
-        payoff1=payoff_angle(out, t1),
-        payoff2=payoff_angle(out, t2),
-        achieved1=achieved1,
-        achieved2=achieved2,
-        best1=best1,
-        best2=best2,
-        is_equilibrium=witness is None,
-        witness=witness,
-        witness_player=witness_player,
-    )
+        certificates.append(
+            EquilibriumCertificate(
+                play=play,
+                payoff1=_modulus_payoff(achieved1),
+                payoff2=_modulus_payoff(achieved2),
+                achieved1=achieved1,
+                achieved2=achieved2,
+                best1=best1,
+                best2=best2,
+                is_equilibrium=witness is None,
+                witness=witness,
+                witness_player=witness_player,
+            )
+        )
+    return certificates
 
 
 def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -332,19 +370,17 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
     skip blocks a Cauchy-Schwarz bound rules out and the poles' phase
     copies (see _candidate_pairs).  Candidates are de-duplicated by payoff
     proximity, first in grid order winning, in rounded payoff-cell buckets,
-    exactly as if every pair were tested; survivors are re-certified.
+    exactly as if every pair were tested; survivors are re-certified in one
+    verify_equilibria call.  The certificates' values come from that call's
+    per-row scalar rounding, not from the grid's array rounding, so at the
+    margin a certificate can disagree with the check that kept its play.
     """
-    thetas, phis, _, _ = _grid_amplitudes(grid)
+    _, _, x, y = _grid_amplitudes(grid)
     pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
-    certificates = []
-    for r in _dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup):
-        i, j = divmod(int(pair_index[r]), grid.theta_points * grid.phi_points)
-        play = Play(
-            StrategyParams(float(thetas[i // grid.phi_points]), float(phis[i % grid.phi_points])).to_state(),
-            StrategyParams(float(thetas[j // grid.phi_points]), float(phis[j % grid.phi_points])).to_state(),
-        )
-        certificates.append(verify_equilibrium(g, play, tol))
-    return certificates
+    i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], x.size)
+    if not i.size:  # no survivors, as on generic games at tol 1e-9: skip the empty-array set-up
+        return []
+    return verify_equilibria(g, np.column_stack([x[i], y[i]]), np.column_stack([x[j], y[j]]), tol)
 
 
 def _target_amplitude_moduli(g: QuantumGame, p: Play) -> tuple[float, float]:

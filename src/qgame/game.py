@@ -84,8 +84,12 @@ def payoff_angle(s: TwoQubitState, target: int) -> float:
     at the endpoints cannot leave the domain; the result is in [0, pi/2]
     and lower means the outcome is closer to the target.
     """
-    prob = abs(s.amplitude(target)) ** 2
-    return math.acos(min(1.0, max(0.0, prob)))
+    return _modulus_payoff(abs(s.amplitude(target)))
+
+
+def _modulus_payoff(modulus: float) -> float:
+    """Payoff angle of a target amplitude with the given modulus, as payoff_angle computes it."""
+    return math.acos(min(1.0, max(0.0, modulus**2)))
 
 
 def payoffs(g: QuantumGame, p: Play) -> tuple[float, float]:

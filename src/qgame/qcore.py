@@ -47,19 +47,30 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# Largest norm^2 drift that apply absorbs by renormalizing instead of raising.
+_APPLY_DRIFT = 1e-9
+
+
+def _unit_rows(values, size: int, what: str) -> np.ndarray:
+    """Read-only complex (n, size) copy of values, each row checked for finiteness and unit norm."""
+    v = np.array(values, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != size:
+        raise NormalizationError(f"{what} rows must have exactly {size} amplitudes, got shape {np.shape(values)}")
+    if not np.isfinite(v).all():
+        raise NormalizationError(f"{what} contains non-finite amplitudes")
+    for norm_sq in (abs(v) ** 2).sum(axis=1).tolist():
+        if abs(norm_sq - 1.0) > TOL.state_norm:
+            raise NormalizationError(f"{what} norm^2 = {norm_sq!r} deviates from 1 by more than {TOL.state_norm}")
+    v.setflags(write=False)
+    return v
+
 
 def _unit_vector(values, size: int, what: str) -> np.ndarray:
     """Read-only complex copy of values, checked for size, finiteness and unit norm."""
-    v = np.asarray(values, dtype=complex).reshape(-1)
+    v = np.asarray(values).reshape(-1)
     if v.shape != (size,):
         raise NormalizationError(f"{what} must have exactly {size} amplitudes, got shape {np.shape(values)}")
-    if not np.all(np.isfinite(v)):
-        raise NormalizationError(f"{what} contains non-finite amplitudes")
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1.0) > TOL.state_norm:
-        raise NormalizationError(f"{what} norm^2 = {norm_sq!r} deviates from 1 by more than {TOL.state_norm}")
-    v.setflags(write=False)
-    return v
+    return _unit_rows(v[None], size, what)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +98,16 @@ class QubitState:
     def from_bloch(cls, theta: float, phi: float) -> "QubitState":
         """State (cos(theta/2), e^{i phi} sin(theta/2)); global phase fixed real on |0>."""
         return cls(np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]))
+
+
+def _qubit_states(rows: np.ndarray) -> list[QubitState]:
+    """QubitStates holding the rows of an array that _unit_rows returned, without checking them again."""
+    states = []
+    for row in rows:
+        state = object.__new__(QubitState)
+        object.__setattr__(state, "vec", row)
+        states.append(state)
+    return states
 
 
 KET0 = QubitState(np.array([1.0, 0.0], dtype=complex))
@@ -156,10 +177,30 @@ def apply(u: GameUnitary, s: TwoQubitState) -> TwoQubitState:
     v = u.mat @ s.vec
     norm_sq = float(np.sum(np.abs(v) ** 2))
     if abs(norm_sq - 1.0) > TOL.state_norm:
-        if abs(norm_sq - 1.0) > 1e-9:
+        if abs(norm_sq - 1.0) > _APPLY_DRIFT:
             raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
         v = v / np.sqrt(norm_sq)
     return TwoQubitState(v)
+
+
+def _tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Checked (n, 4) rows a[k] (x) b[k] of two (n, 2) strategy arrays, rounded as tensor rounds them."""
+    return _unit_rows((a[:, :, None] * b[:, None, :]).reshape(-1, 4), 4, "two-qubit state")
+
+
+def _apply_rows(u: GameUnitary, rows: np.ndarray) -> np.ndarray:
+    """Checked (n, 4) rows u @ rows[k], with apply's drift rule applied to each row.
+
+    The stacked matvec u[None] @ rows[:, :, None] rounds each row as u @ row
+    does; a row is renormalized, as in apply, only when its own norm^2 drifts.
+    """
+    v = (u.mat[None] @ rows[:, :, None])[:, :, 0]
+    for k, norm_sq in enumerate((abs(v) ** 2).sum(axis=1).tolist()):
+        if abs(norm_sq - 1.0) > TOL.state_norm:
+            if abs(norm_sq - 1.0) > _APPLY_DRIFT:
+                raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
+            v[k] = v[k] / np.sqrt(norm_sq)
+    return _unit_rows(v, 4, "two-qubit state")
 
 
 def _project_out(v: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:

@@ -13,11 +13,23 @@ fewer candidates, since it leaves out the pole phase copies that can
 never be the first pair of their payoff cell, so what must match is the
 dedup's output: the library's pruned scan and bucketed dedup must keep
 the oracles' representatives, pair indices and payoff bits, bit for bit.
+
+scalar_verify_equilibrium is the per-play certification that
+verify_equilibria replaced: one outcome and one pair of numpy-scalar
+coefficient contractions per play.  verify_equilibria must reproduce its
+certificates bit for bit, and scalar_search_certificates is the search
+recertified that way, with each strategy built from its Bloch angles.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
+
+from qgame import equilibria
+from qgame.game import Play, StrategyParams, outcome, payoff_angle
+from qgame.qcore import TOL, QubitState
 
 
 def bloch_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -113,3 +125,71 @@ def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> li
         accepted.append(int(r))
         accepted_payoffs.append(pv)
     return accepted
+
+
+def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equilibria.EquilibriumCertificate:
+    """Closed-form equilibrium check of one play through the full outcome route."""
+    out = outcome(g, p)
+    t1, t2 = g.prefs.player1_target, g.prefs.player2_target
+    achieved1 = abs(out.amplitude(t1))
+    achieved2 = abs(out.amplitude(t2))
+    pair1, pair2 = equilibria._coefficient_pairs(g, p)
+    best1, best2 = equilibria._pair_norm(pair1), equilibria._pair_norm(pair2)
+
+    witness = None
+    witness_player = None
+    if best1 > achieved1 + tol:
+        witness = equilibria._best_strategy(pair1)
+        witness_player = 1
+    elif best2 > achieved2 + tol:
+        witness = equilibria._best_strategy(pair2)
+        witness_player = 2
+
+    return equilibria.EquilibriumCertificate(
+        play=p,
+        payoff1=payoff_angle(out, t1),
+        payoff2=payoff_angle(out, t2),
+        achieved1=achieved1,
+        achieved2=achieved2,
+        best1=best1,
+        best2=best2,
+        is_equilibrium=witness is None,
+        witness=witness,
+        witness_player=witness_player,
+    )
+
+
+def per_play_verify_equilibria(g, a, b, tol: float = TOL.equilibrium) -> list:
+    """verify_equilibria's contract met one play at a time by scalar_verify_equilibrium."""
+    return [scalar_verify_equilibrium(g, Play(QubitState(x), QubitState(y)), tol) for x, y in zip(a, b)]
+
+
+def scalar_search_certificates(g, grid, tol: float = TOL.equilibrium) -> list:
+    """The library's scan and dedup, each survivor rebuilt from its Bloch angles and certified alone."""
+    thetas = np.linspace(0.0, np.pi, grid.theta_points)
+    phis = np.linspace(0.0, 2.0 * np.pi, grid.phi_points, endpoint=False)
+    pair_index, payoff1, payoff2 = equilibria._candidate_pairs(g, grid, tol)
+    certificates = []
+    for r in equilibria._dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup):
+        i, j = divmod(int(pair_index[r]), grid.theta_points * grid.phi_points)
+        play = Play(
+            StrategyParams(float(thetas[i // grid.phi_points]), float(phis[i % grid.phi_points])).to_state(),
+            StrategyParams(float(thetas[j // grid.phi_points]), float(phis[j % grid.phi_points])).to_state(),
+        )
+        certificates.append(scalar_verify_equilibrium(g, play, tol))
+    return certificates
+
+
+def certificate_bits(cert) -> tuple:
+    """Every field of a certificate, floats and vectors as bytes: equal tuples mean bit-identical certificates."""
+    floats = (cert.payoff1, cert.payoff2, cert.achieved1, cert.achieved2, cert.best1, cert.best2)
+    assert all(type(f) is float for f in floats)
+    witness = None if cert.witness is None else cert.witness.vec.tobytes()
+    return (
+        cert.play.a.vec.tobytes(),
+        cert.play.b.vec.tobytes(),
+        struct.pack("6d", *floats),
+        cert.is_equilibrium,
+        witness,
+        cert.witness_player,
+    )

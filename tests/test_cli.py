@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import run_cli
-from oracles import dense_candidate_pairs, quadratic_dedup
+from oracles import dense_candidate_pairs, per_play_verify_equilibria, quadratic_dedup
 from qgame import cli, equilibria
 from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file
 from qgame.qcore import check_unitary
@@ -161,11 +161,12 @@ def test_analyze_runs_are_deterministic():
 
 @pytest.mark.parametrize("gate", sorted(LIBRARY))
 def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
-    """The pruned scan and bucketed dedup change no byte of analyze's output."""
+    """The pruned scan, bucketed dedup and batched recertification change no byte of analyze's output."""
     runs = [["analyze", gate, "--grid-theta", "21", "--grid-phi", "40"] + fmt for fmt in ([], ["--csv"])]
     fast = [run_cli(args) for args in runs]
     monkeypatch.setattr(equilibria, "_candidate_pairs", dense_candidate_pairs)
     monkeypatch.setattr(equilibria, "_dedup_payoffs", quadratic_dedup)
+    monkeypatch.setattr(equilibria, "verify_equilibria", per_play_verify_equilibria)
     dense = [run_cli(args) for args in runs]
     assert fast == dense
     assert all(code == 0 and out for code, out, _ in fast)

@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_candidate_pairs, grid_max_target_amplitude, quadratic_dedup
-from qgame import equilibria
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    certificate_bits,
+    dense_candidate_pairs,
+    grid_max_target_amplitude,
+    quadratic_dedup,
+    scalar_search_certificates,
+    scalar_verify_equilibrium,
+)
+from qgame import equilibria, qcore
 from qgame.equilibria import (
     CASE_IDS,
     CASE_PAIRS,
@@ -20,11 +30,21 @@ from qgame.equilibria import (
     feasibility_region,
     response_coefficients,
     search_equilibria,
+    verify_equilibria,
     verify_equilibrium,
 )
 from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
 from qgame.gates import BELL_CIRCUIT, CNOT, CZ, IDENTITY, LIBRARY, SWAP
-from qgame.qcore import KET0, KET1, TOL, GameUnitary, QubitState, random_qubit_state, random_unitary
+from qgame.qcore import (
+    KET0,
+    KET1,
+    TOL,
+    GameUnitary,
+    NormalizationError,
+    QubitState,
+    random_qubit_state,
+    random_unitary,
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 ALL_PREFS = [(i, j) for i in range(4) for j in range(4) if i != j]
@@ -251,6 +271,180 @@ def test_player_swap_is_a_symmetry():
                 assert (rd.p, rd.q) == pytest.approx((rc.p_prime, rc.q_prime), abs=1e-12)
                 assert (rd.p_prime, rd.q_prime) == pytest.approx((rc.p, rc.q), abs=1e-12)
     assert verdicts == {True, False}  # both verdicts must be exercised
+
+
+# ------------------------------------------------------ batched certification
+
+
+def k_equilibria(g):
+    """The two pure equilibria of a generic game: a an eigenvector of K = conj(M1) M2^T, b player two's best response."""
+    u, (t1, t2) = g.u.mat, (g.prefs.player1_target, g.prefs.player2_target)
+    k = np.conj(u[t1].reshape(2, 2)) @ u[t2].reshape(2, 2).T
+    plays = []
+    for v in np.linalg.eig(k)[1].T:
+        a = QubitState(v / np.linalg.norm(v))
+        plays.append(Play(a, best_response_strategy(g, 2, a)))
+    return plays
+
+
+def stacked(plays):
+    return np.array([p.a.vec for p in plays]), np.array([p.b.vec for p in plays])
+
+
+def test_verify_equilibria_matches_scalar_oracle_bit_for_bit():
+    """1,000 seeded plays, each game's plays certified as one mixed batch and one at a time."""
+    rng = np.random.default_rng(4242)
+    verdicts, witness_players = [], set()
+    for n in range(100):
+        g = QuantumGame(random_unitary(rng), random_prefs(rng))
+        plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(8)] + k_equilibria(g)
+        rng.shuffle(plays)
+        tol = (1e-9, 1e-6, 1e-2)[n % 3]
+        expected = [certificate_bits(scalar_verify_equilibrium(g, p, tol)) for p in plays]
+        batch = verify_equilibria(g, *stacked(plays), tol)
+        assert [certificate_bits(c) for c in batch] == expected
+        for play, want in zip(plays, expected):
+            cert = verify_equilibrium(g, play, tol)
+            assert cert.play is play
+            assert certificate_bits(cert) == want
+        verdicts += [c.is_equilibrium for c in batch]
+        witness_players |= {c.witness_player for c in batch}
+    assert len(verdicts) == 1000
+    assert 150 <= sum(verdicts) <= 900  # each batch mixes eigenvector equilibria with random plays
+    assert witness_players == {None, 1, 2}
+
+
+def test_verify_equilibria_of_no_plays_is_empty():
+    g = QuantumGame(CNOT)
+    assert verify_equilibria(g, np.zeros((0, 2), complex), np.zeros((0, 2), complex)) == []
+
+
+def test_verify_equilibria_rows_are_checked_like_qubit_states():
+    g = QuantumGame(CNOT)
+    good = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    off = 1.0 + 2e-12  # norm^2 outside TOL.state_norm
+    for bad in ([math.nan, 0.0], [math.inf, 0.0], [1.0, 1.0], [0.0, 0.0], [math.sqrt(off), 0.0]):
+        with pytest.raises(NormalizationError):
+            QubitState(np.array(bad))
+        rows = np.vstack([good, [bad]])
+        with pytest.raises(NormalizationError):
+            verify_equilibria(g, rows, np.vstack([good, [good[0]]]))
+        with pytest.raises(NormalizationError):
+            verify_equilibria(g, np.vstack([good, [good[0]]]), rows)
+    inside = np.array([[math.sqrt(1.0 + 5e-13), 0.0]])  # norm^2 drift within TOL.state_norm
+    cert = verify_equilibria(g, inside, good[:1])[0]
+    assert certificate_bits(cert) == certificate_bits(scalar_verify_equilibrium(g, Play(QubitState(inside[0]), KET0)))
+    with pytest.raises(NormalizationError):
+        verify_equilibria(g, np.ones((2, 3)) / math.sqrt(3.0), good)
+    with pytest.raises(ValueError):
+        verify_equilibria(g, good, good[:1])
+
+
+def test_verify_equilibria_rejects_product_rows_as_tensor_does():
+    """Two strategies each within TOL.state_norm can have a product outside it."""
+    near = np.array([[math.sqrt(1.0 + 0.8e-12), 0.0]])
+    play = Play(QubitState(near[0]), QubitState(near[0]))
+    with pytest.raises(NormalizationError):
+        scalar_verify_equilibrium(QuantumGame(CNOT), play)
+    with pytest.raises(NormalizationError):
+        verify_equilibria(QuantumGame(CNOT), near, near)
+
+
+def scaled_first_column(u: np.ndarray, factor: float) -> GameUnitary:
+    """u with its first column scaled, wrapped without the unitarity check.
+
+    Only the joint state |00> feels the scaling, so a batch of plays in
+    which player one plays |1> keeps unit norm in every other row.
+    """
+    m = u.copy()
+    m[:, 0] *= factor
+    wrapped = object.__new__(GameUnitary)
+    object.__setattr__(wrapped, "mat", m)
+    return wrapped
+
+
+@pytest.mark.parametrize("drift, renormalized", [(5e-13, False), (6e-11, True), (9e-10, True)])
+def test_drifting_row_is_renormalized_alone(drift, renormalized):
+    """apply renormalizes a norm^2 drift in (TOL.state_norm, 1e-9]; the batch does so per row."""
+    rng = np.random.default_rng(99)
+    base = random_unitary(rng).mat
+    u = scaled_first_column(base, math.sqrt(1.0 + drift))
+    g = QuantumGame(u, PreferenceProfile(0, 3))
+    plays = [Play(QubitState(np.array([0.0, np.exp(1j * t)])), random_qubit_state(rng)) for t in rng.uniform(0, 6, 5)]
+    plays.insert(2, Play(KET0, KET0))  # the one row with weight on |00>
+    a, b = stacked(plays)
+    rows = qcore._apply_rows(u, qcore._tensor_rows(a, b))
+    for k, play in enumerate(plays):
+        joint = qcore.tensor(play.a, play.b)
+        raw = u.mat @ joint.vec
+        assert rows[k].tobytes() == qcore.apply(u, joint).vec.tobytes()
+        changed = rows[k].tobytes() != raw.tobytes()
+        assert changed == (renormalized and k == 2)
+    assert abs(float(np.sum(np.abs(rows[2]) ** 2)) - 1.0) <= TOL.state_norm
+    expected = [certificate_bits(scalar_verify_equilibrium(g, p)) for p in plays]
+    assert [certificate_bits(c) for c in verify_equilibria(g, a, b)] == expected
+
+
+def test_row_drifting_past_the_limit_raises_as_apply_does():
+    rng = np.random.default_rng(98)
+    u = scaled_first_column(random_unitary(rng).mat, math.sqrt(1.0 + 2e-9))
+    g = QuantumGame(u)
+    plays = [Play(KET1, random_qubit_state(rng)) for _ in range(3)] + [Play(KET0, KET0)]
+    for play in plays[:3]:
+        scalar_verify_equilibrium(g, play)  # the other rows alone are fine
+    with pytest.raises(NormalizationError):
+        qcore.apply(u, qcore.tensor(KET0, KET0))
+    with pytest.raises(NormalizationError):
+        scalar_verify_equilibrium(g, plays[-1])
+    with pytest.raises(NormalizationError):
+        verify_equilibria(g, *stacked(plays))
+    with pytest.raises(NormalizationError):
+        verify_equilibrium(g, plays[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prefs=st.sampled_from(ALL_PREFS),
+    count=st.integers(1, 12),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    alpha=st.floats(0.0, 2.0 * math.pi),
+)
+def test_witnesses_improve_and_verdicts_ignore_global_phase(seed, prefs, count, tol, alpha):
+    """Every witness raises its player's target amplitude by more than tol, measured through outcome.
+
+    A global phase e^{i alpha} on U changes no verdict.
+    """
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng)
+    g = QuantumGame(u, PreferenceProfile(*prefs))
+    plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(count)] + k_equilibria(g)
+    a, b = stacked(plays)
+    certs = verify_equilibria(g, a, b, tol)
+    for play, cert in zip(plays, certs):
+        if cert.is_equilibrium:
+            assert cert.witness is None
+            continue
+        if cert.witness_player == 1:
+            improved, target, before = Play(cert.witness, play.b), prefs[0], cert.achieved1
+        else:
+            improved, target, before = Play(play.a, cert.witness), prefs[1], cert.achieved2
+        assert abs(outcome(g, improved).amplitude(target)) > before + tol
+    phased = QuantumGame(GameUnitary(np.exp(1j * alpha) * u.mat), g.prefs)
+    assert [c.is_equilibrium for c in verify_equilibria(phased, a, b, tol)] == [c.is_equilibrium for c in certs]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_search_certificates_match_scalar_recertification(tol):
+    """Search certificates equal those of each survivor rebuilt from its Bloch angles and certified alone."""
+    total = 0
+    for name, entry in sorted(LIBRARY.items()):
+        for prefs in ALL_PREFS:
+            g = QuantumGame(entry.unitary, PreferenceProfile(*prefs))
+            got = [certificate_bits(c) for c in search_equilibria(g, GridSpec(13, 24), tol)]
+            assert got == [certificate_bits(c) for c in scalar_search_certificates(g, GridSpec(13, 24), tol)], (name, prefs)
+            total += len(got)
+    assert total > 1000
 
 
 # ------------------------------------------------------------------- search
