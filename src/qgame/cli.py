@@ -24,6 +24,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -261,8 +262,50 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# json.dumps's spelling of the floats whose float.__repr__ is not JSON.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, written in one recursive pass.
+
+    json.dumps leaves its C encoder when indenting, which made it the
+    slowest step of a large report.  indent is the newline and indentation
+    of value's nesting level.  Floats, numpy.float64 among them, are written
+    by float.__repr__, and bool is tested before int, as json.dumps does.
+    Dict keys must be str.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(report, out_path: str | None) -> None:
-    _emit(json.dumps(report, indent=2) + "\n", out_path)
+    _emit(_json_text(report) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_cli
 from oracles import dense_candidate_pairs, per_play_verify_equilibria, quadratic_dedup
@@ -114,6 +116,67 @@ def test_verify_out_flag_writes_report_file(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["is_equilibrium"] is True
+
+
+# --------------------------------------------------------------- JSON output
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 2.5, 1.7976931348623157e308]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.builds(np.float64, st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS))
+    | st.text()
+    | st.sampled_from(["", "é", "\u2264 \u03c0/2", "\U0001d49c", "quote \" and \\ slash", "\n\t\x00\x7f"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_indented_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_edge_values():
+    value = {"floats": EDGE_FLOATS + [np.float64(0.1)], "empty": [[], {}, ()], "flags": [True, False, None, 1, -7]}
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert cli._json_text(np.float64(-0.0)) == "-0.0"  # repr would give np.float64(-0.0)
+    assert cli._json_text([math.nan, -math.inf]) == "[\n  NaN,\n  -Infinity\n]"
+    assert cli._json_text("\u00e9") == '"\\u00e9"'
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object(), 1j, {1: 2}, {"a": [b"x"]}])
+def test_json_writer_rejects_non_json_values(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "bell_circuit", "--grid-theta", "13", "--grid-phi", "24"],
+        ["verify", "cnot", "--play", "1", "0", "1", "0"],
+        ["region", "cnot", "--play", "1", "0", "1", "0"],
+        ["mechanism", "bell", "--mode", "strict"],
+        ["mechanism", "bell", "--mode", "paper_bound"],
+        ["gates", "list"],
+        ["gates", "show", "bell_mechanism"],
+    ],
+    ids=lambda args: "-".join(args[:2]) + ("-" + args[-1] if args[0] == "mechanism" else ""),
+)
+def test_command_stdout_is_indented_json_dumps(args):
+    """Every JSON command writes exactly what json.dumps(..., indent=2) would."""
+    code, out, _ = run_cli(args)
+    assert code in (0, 1) and out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 # ------------------------------------------------------------------- analyze

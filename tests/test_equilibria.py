@@ -502,12 +502,32 @@ def representatives(candidates, dedup):
     return [(a.dtype.str, a[kept].tobytes()) for a in (index, payoff1, payoff2)]
 
 
+def window_misses(expected, got, grid):
+    """How many passing pairs of the dense scan expected, with no pole phase copy, the scan got leaves out.
+
+    The pairs it keeps must carry the dense scan's payoff bits.
+    """
+    index, payoff1, payoff2 = expected
+    per_row, n = grid.phi_points, grid.theta_points * grid.phi_points
+    copy = [(k % per_row > 0) & ((k < per_row) | (k >= n - per_row)) for k in np.divmod(index, n)]
+    want = ~copy[0] & ~copy[1]
+    common, at_want, at_got = np.intersect1d(index[want], got[0], return_indices=True)
+    assert got[1][at_got].tobytes() == payoff1[want][at_want].tobytes()
+    assert got[2][at_got].tobytes() == payoff2[want][at_want].tobytes()
+    return want.sum() - common.size
+
+
+def scans(g, grid, tol):
+    """The dense oracle's candidates and the library scan's, at one game, grid and tol."""
+    return dense_candidate_pairs(g, grid, tol), equilibria._candidate_pairs(g, grid, tol)
+
+
 def assert_same_representatives(g, grid, tol):
-    """The pruned scan and bucketed dedup keep the dense oracle's pairs, bit for bit."""
-    expected = dense_candidate_pairs(g, grid, tol)
-    got = equilibria._candidate_pairs(g, grid, tol)
+    """The pruned scan and bucketed dedup keep the dense oracle's pairs, bit for bit; the scan loses no passing pair."""
+    expected, got = scans(g, grid, tol)
     assert np.all(np.diff(got[0]) > 0)  # grid order, each pair once
     assert representatives(got, equilibria._dedup_payoffs) == representatives(expected, quadratic_dedup)
+    assert window_misses(expected, got, grid) == 0
     return expected
 
 
@@ -535,6 +555,69 @@ def test_pruned_scan_matches_dense_oracle_on_random_games():
         g = QuantumGame(random_unitary(rng), random_prefs(rng))
         found += assert_same_representatives(g, grid, 1e-2)[0].size > 0
     assert found >= 6  # the loose slack admits candidates on most random games
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
+def test_windows_keep_every_passing_pair_on_random_games(tol):
+    rng = np.random.default_rng(83)
+    grid = GridSpec(21, 40)
+    for _ in range(20):
+        assert window_misses(*scans(QuantumGame(random_unitary(rng), random_prefs(rng)), grid, tol), grid) == 0
+
+
+def threshold_tolerances(g, grid, count):
+    """count tol values, small to large, at each of which some grid pair sits on a player's pass threshold."""
+    _, _, x, y = equilibria._grid_amplitudes(grid)
+    m1, m2 = equilibria._target_matrices(g)
+    (a1, b1), (a2, b2) = equilibria._contract(m1, x, y), equilibria._contract(m2.T, x, y)
+    gap1 = np.hypot(np.abs(a1), np.abs(b1)) - np.abs(x[:, None] * a1 + y[:, None] * b1)  # [i, j]
+    gap2 = np.hypot(np.abs(a2), np.abs(b2))[:, None] - np.abs(a2[:, None] * x + b2[:, None] * y)
+    gaps = np.unique(np.concatenate([gap1.ravel(), gap2.ravel()]))
+    gaps = gaps[gaps > 0]
+    return gaps[np.linspace(0, gaps.size - 1, count).astype(int)].tolist()
+
+
+def threshold_cases():
+    """Games at 13x24, each with tols that put some of its grid pairs on a pass threshold."""
+    grid = GridSpec(13, 24)
+    games = [QuantumGame(entry.unitary, PreferenceProfile(*prefs)) for entry in LIBRARY.values() for prefs in ALL_PREFS[::2]]
+    rng = np.random.default_rng(97)
+    games += [QuantumGame(random_unitary(rng), random_prefs(rng)) for _ in range(8)]
+    return [(g, grid, tol) for g in games for tol in threshold_tolerances(g, grid, 4)[1:]]
+
+
+def test_windows_keep_pairs_on_the_pass_threshold():
+    """At a tol that puts grid pairs exactly on a pass threshold, the windows' rounding guards keep them."""
+    for g, grid, tol in threshold_cases():
+        assert window_misses(*scans(g, grid, tol), grid) == 0
+
+
+@pytest.mark.parametrize("guards", [("_REACH_GUARD", "_THETA_GUARD"), ("_REACH_GUARD", "_PHI_GUARD")])
+def test_threshold_pairs_are_lost_without_a_windows_guards(monkeypatch, guards):
+    """With either window's two rounding guards at zero, the threshold cases above lose a passing pair."""
+    for name in guards:
+        monkeypatch.setattr(equilibria, name, 0.0)
+    if not any(window_misses(*scans(g, grid, tol), grid) for g, grid, tol in threshold_cases()):
+        pytest.fail("every threshold pair was kept without the guards")
+
+
+def test_library_scans_evaluate_few_pairs(monkeypatch):
+    """Regression guard: at the default grid the windows leave ~14 k pairs to check on bell_circuit, not 857 k.
+
+    On the other library gates player two's row filter halves the pairs, to ~7 k.
+    """
+    sizes = []
+    original = equilibria._window_pairs
+
+    def counted(*args):
+        i, j = original(*args)
+        sizes.append(i.size)
+        return i, j
+
+    monkeypatch.setattr(equilibria, "_window_pairs", counted)
+    for name, entry in LIBRARY.items():
+        equilibria._candidate_pairs(QuantumGame(entry.unitary), GridSpec(), TOL.equilibrium)
+        assert sizes[-1] <= (20_000 if name == "bell_circuit" else 10_000), name
 
 
 def count_phase_copies(monkeypatch) -> list:
