@@ -22,10 +22,12 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,6 +195,8 @@ def _strategy_from_amplitudes(x: complex, y: complex, who: str) -> QubitState:
 def _bloch_strategy(pair: tuple[float, float], who: str) -> QubitState:
     theta, phi = pair
     phi = phi % (2.0 * math.pi)
+    if phi == 2.0 * math.pi:  # a tiny negative angle rounds up to the period
+        phi = 0.0
     try:
         return StrategyParams(theta, phi).to_state()
     except ValueError as exc:
@@ -266,6 +270,15 @@ def _emit(text: str, out_path: str | None) -> None:
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+class _Rendered:
+    """A value that _json_text writes as render(indent): text already in json.dumps's layout."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, written in one recursive pass.
 
@@ -273,7 +286,10 @@ def _json_text(value, indent: str = "\n") -> str:
     slowest step of a large report.  indent is the newline and indentation
     of value's nesting level.  Floats, numpy.float64 among them, are written
     by float.__repr__, and bool is tested before int, as json.dumps does.
-    Dict keys must be str.
+    Dict keys must be str.  A _Rendered value writes itself at its indent:
+    cmd_analyze's certificate list, filled from one template per layout
+    (_certificate_template) that this function rendered from a marker
+    certificate.
     """
     if isinstance(value, float):
         text = float.__repr__(value)
@@ -301,11 +317,81 @@ def _json_text(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, _Rendered):
+        return value.render(indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_json(report, out_path: str | None) -> None:
     _emit(_json_text(report) + "\n", out_path)
+
+
+# A marker certificate's float k is 1e+1kk, which no other text of a certificate holds.
+_MARKER = re.compile(r"1e\+1(\d\d)")
+_NO_WITNESS = np.zeros(2, dtype=complex)
+
+
+@functools.cache
+def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witness_player) -> str:
+    """str.format template of _certificate_dict's text at a nesting indent; {k} is float k of _certificate_floats.
+
+    It is _json_text of the dict of a marker certificate whose floats are
+    the markers, so it has _certificate_dict's layout by construction.
+    """
+    m = [float(f"1e1{k:02d}") for k in range(18)]
+
+    def state(k):
+        return SimpleNamespace(vec=np.array([complex(m[k], m[k + 1]), complex(m[k + 2], m[k + 3])]))
+
+    marker = SimpleNamespace(
+        play=SimpleNamespace(a=state(0), b=state(4)),
+        witness=state(8) if witness else None,
+        payoff1=m[12],
+        payoff2=m[13],
+        achieved1=m[14],
+        achieved2=m[15],
+        best1=m[16],
+        best2=m[17],
+        is_equilibrium=is_equilibrium,
+        witness_player=witness_player,
+    )
+    text = _json_text(_certificate_dict(marker), indent).replace("{", "{{").replace("}", "}}")
+    return _MARKER.sub(lambda match: "{" + str(int(match.group(1))) + "}", text)
+
+
+def _certificate_floats(certs: list[EquilibriumCertificate]) -> np.ndarray:
+    """(n, 18) floats of the certificates as _certificate_dict writes them, in the markers' order.
+
+    The amplitude parts of player one, player two and the witness (zeros
+    when there is none), then the rounded payoffs, achieved and best.
+    """
+    states = np.array([(c.play.a.vec, c.play.b.vec, _NO_WITNESS if c.witness is None else c.witness.vec) for c in certs])
+    scalars = [(_round_angle(c.payoff1), _round_angle(c.payoff2), c.achieved1, c.achieved2, c.best1, c.best2) for c in certs]
+    return np.concatenate([states.view(float).reshape(len(certs), 12), np.array(scalars, dtype=float)], axis=1)
+
+
+def _certificates_text(certs: list[EquilibriumCertificate], indent: str) -> str:
+    """_json_text([_certificate_dict(c) for c in certs], indent), byte for byte.
+
+    Each certificate fills its layout's template.  The floats of all of
+    them are written in one repr of a list that holds each distinct bit
+    pattern once, so -0.0 and 0.0 keep their own texts.
+    """
+    if not certs:
+        return "[]"
+    floats = _certificate_floats(certs)
+    distinct, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+    joined = repr(distinct.view(float).tolist())[1:-1]
+    texts = joined.split(", ")
+    if "n" in joined:  # nan or inf, which JSON spells otherwise
+        texts = [_JSON_FLOATS.get(text, text) for text in texts]
+    rows = np.array(texts, dtype=object)[inverse.reshape(floats.shape)].tolist()
+    inner = indent + "  "
+    items = [
+        _certificate_template(inner, c.is_equilibrium, c.witness is not None, c.witness_player).format(*row)
+        for c, row in zip(certs, rows)
+    ]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +402,14 @@ _BASIS = {0: KET0, 1: KET1}
 
 
 def cmd_analyze(args) -> int:
+    """Payoff table and coefficients at the four basis plays, then the grid search's certificates.
+
+    The JSON report is json.dumps(report, indent=2) byte for byte.  Its
+    equilibria list, nearly all of a large report, is not built as dicts:
+    _certificates_text fills each certificate's cached template of
+    _certificate_dict's text, with the floats of all certificates
+    formatted in one batch.
+    """
     cfg = _config_from_args(args)
     name, unitary = _resolve_gate(args.gate)
     game = QuantumGame(unitary, cfg.prefs)
@@ -366,7 +460,7 @@ def cmd_analyze(args) -> int:
         "tolerance": cfg.tolerance,
         "grid": {"theta_points": cfg.grid_theta, "phi_points": cfg.grid_phi},
         "canonical_plays": canonical,
-        "equilibria": [_certificate_dict(c) for c in certificates],
+        "equilibria": _Rendered(functools.partial(_certificates_text, certificates)),
         "equilibrium_count": len(certificates),
     }
     _emit_json(report, args.out)

@@ -263,6 +263,7 @@ def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 # and _CELL_GUARD < 1.25e-13, the distance from achieved^2 = 1 to a payoff cell edge.
 _PASS_GUARD = 1e-12
 _CELL_GUARD = 1.2e-13
+_COPY_PAIRS = 1 << 18  # copy pairs checked per block, which keeps their temporaries to tens of MB
 
 # Rounding guards of the best-response windows (_window_pairs).  Over 55 M passing
 # pairs of library and Haar games, at tol from 0 to 1 and at tols that put pairs
@@ -279,11 +280,9 @@ def _payoff(achieved_sq: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(achieved_sq, 0.0, 1.0))
 
 
-def _phase_copies(index: int, grid: GridSpec) -> np.ndarray:
-    """Grid index of a strategy followed by its phase copies: the rest of its row for a pole representative."""
-    if index in (0, (grid.theta_points - 1) * grid.phi_points):
-        return np.arange(index, index + grid.phi_points)
-    return np.array([index])
+def _phase_copies(index: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """How many grid strategies each index starts: a pole representative's whole row, else itself alone."""
+    return np.where((index == 0) | (index == (grid.theta_points - 1) * grid.phi_points), grid.phi_points, 1)
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,9 +401,15 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     for achieved_sq in (achieved1[ok] ** 2, achieved2[ok] ** 2):
         lo, hi = (np.round(_payoff(achieved_sq + d) / TOL.payoff_dedup) for d in (-_CELL_GUARD, _CELL_GUARD))
         fragile[ok] |= lo != hi
-    for f in np.flatnonzero(fragile):
-        copies_i, copies_j = np.meshgrid(_phase_copies(i[f], grid), _phase_copies(j[f], grid), indexing="ij")
-        scan(copies_i.ravel(), copies_j.ravel())
+    # Every copy of i against every copy of j, for blocks of fragile pairs.  A pair with one
+    # pole has phi_points copy pairs; at most four pairs have two poles.
+    i, j = i[fragile], j[fragile]
+    step = max(1, _COPY_PAIRS // per_row)
+    for start in range(0, i.size, step):
+        block_i, block_j = i[start : start + step], j[start : start + step]
+        span, copies_i = _spans(block_i, _phase_copies(block_i, grid))
+        span, copies_j = _spans(block_j[span], _phase_copies(block_j, grid)[span])
+        scan(copies_i[span], copies_j)
 
     # Back to grid order; np.unique keeps one of a fragile representative pair's two scans.
     index, achieved1, achieved2 = (np.concatenate(parts) for parts in zip(*found))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, formats, configuration."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from helpers import run_cli
 from oracles import dense_candidate_pairs, per_play_verify_equilibria, quadratic_dedup
 from qgame import cli, equilibria
-from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file
-from qgame.qcore import check_unitary
+from qgame.equilibria import verify_equilibria, verify_equilibrium
+from qgame.game import Play, PreferenceProfile, QuantumGame
+from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file, save_gate_file
+from qgame.qcore import QubitState, check_unitary, random_unitary
 
 PI = math.pi
 
@@ -108,6 +111,21 @@ def test_verify_bad_bloch_angle_exits_two():
     assert "player one" in err
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["verify", "cnot", "--bloch", "0,{phi}", "0,0"], 1),
+        (["region", "cnot", "--play", "1", "0", "1", "0", "--deviation", "3.14159,{phi}"], 0),
+    ],
+    ids=["verify", "region"],
+)
+def test_tiny_negative_phi_folds_to_zero(args, code):
+    """phi % 2 pi rounds a tiny negative angle up to 2 pi itself; it is read as 0, not rejected."""
+    for phi in ("-1e-20", "-1e-17"):
+        assert run_cli([a.format(phi=phi) for a in args]) == run_cli([a.format(phi="0") for a in args])
+    assert run_cli([a.format(phi="-1e-20") for a in args])[0] == code
+
+
 def test_verify_out_flag_writes_report_file(tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -179,6 +197,88 @@ def test_command_stdout_is_indented_json_dumps(args):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
+def certificate_rows(g, rng, count):
+    """Strategy rows (a, b) of plays that give every certificate layout.
+
+    count random plays (mostly player one's witness), as many with player
+    one at a best response (player two's witness), the two eigenvector
+    equilibria of K = conj(M1) M2^T, and basis plays with -0.0 parts.
+    """
+    u, (t1, t2) = g.u.mat, (g.prefs.player1_target, g.prefs.player2_target)
+    m1, m2 = u[t1].reshape(2, 2), u[t2].reshape(2, 2)
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def random_state():
+        return unit(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+
+    a, b = [], []
+    for _ in range(count):
+        a.append(random_state())
+        b.append(random_state())
+        b.append(random_state())
+        a.append(unit(np.conj(m1 @ b[-1])))
+    for v in np.linalg.eig(np.conj(m1) @ m2.T)[1].T:
+        a.append(unit(v))
+        b.append(unit(np.conj(m2.T @ a[-1])))
+    signed = np.array([[complex(1.0, -0.0), complex(-0.0, -0.0)], [complex(-0.0, 0.0), complex(-1.0, -0.0)]])
+    a += [signed[0], signed[1]]
+    b += [signed[1], signed[0]]
+    return np.array(a), np.array(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 6),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-2]),
+    depth=st.integers(0, 3),
+)
+def test_certificate_template_matches_dict_writer(seed, count, tol, depth):
+    """cmd_analyze's templated certificate list is json.dumps's text of _certificate_dict, at any nesting level."""
+    rng = np.random.default_rng(seed)
+    t1, t2 = rng.choice(4, size=2, replace=False).tolist()
+    g = QuantumGame(random_unitary(rng), PreferenceProfile(t1, t2))
+    certs = verify_equilibria(g, *certificate_rows(g, rng, count), tol)
+    indent = "\n" + "  " * depth
+    dicts = [cli._certificate_dict(c) for c in certs]
+    text = cli._certificates_text(certs, indent)
+    assert text == cli._json_text(dicts, indent)
+    assert text == json.dumps(dicts, indent=2).replace("\n", indent)
+    assert "-0.0" in text
+
+
+def test_certificate_rows_give_every_layout():
+    """The property above sees equilibria and both players' witnesses, in one list."""
+    rng = np.random.default_rng(5)
+    for prefs in [(0, 1), (3, 2), (1, 3)]:
+        g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
+        certs = verify_equilibria(g, *certificate_rows(g, rng, 4), 1e-9)
+        assert {c.witness_player for c in certs} == {None, 1, 2}
+    assert cli._certificates_text([], "\n  ") == "[]"
+
+
+def test_certificate_floats_keep_json_spellings():
+    """One batch holding -0.0, 0.0, NaN, +-inf, 5e-324 and 1e16 writes each as json.dumps does."""
+    play = Play(QubitState([complex(1.0, -0.0), complex(-0.0, 0.0)]), QubitState([complex(0.0, -0.0), complex(-1.0, 0.0)]))
+    base = verify_equilibrium(QuantumGame(CNOT), play)
+    witness = verify_equilibrium(QuantumGame(CNOT), Play(play.a, QubitState([1.0, 0.0])))
+    assert base.is_equilibrium and witness.witness_player == 2
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
+    fields = ("payoff1", "payoff2", "achieved1", "achieved2", "best1", "best2")
+    certs = []
+    for k in range(len(specials)):
+        values = {name: specials[(k + n) % len(specials)] for n, name in enumerate(fields)}
+        certs += [dataclasses.replace(base, **values), dataclasses.replace(witness, **values)]
+    dicts = [cli._certificate_dict(c) for c in certs]
+    text = cli._certificates_text(certs, "\n  ")
+    assert text == cli._json_text(dicts, "\n  ")
+    assert text == json.dumps(dicts, indent=2).replace("\n", "\n  ")
+    for word in ("-0.0,", "0.0,", "NaN", "Infinity", "-Infinity", "5e-324", "1e+16"):
+        assert word in text
+
+
 # ------------------------------------------------------------------- analyze
 
 
@@ -233,6 +333,34 @@ def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
     dense = [run_cli(args) for args in runs]
     assert fast == dense
     assert all(code == 0 and out for code, out, _ in fast)
+
+
+@pytest.mark.parametrize("extra", [[], ["--tol", "1e-2"], ["--tol", "1e-2", "--prefs", "3,1"]])
+def test_analyze_random_gate_stdout_is_byte_identical(tmp_path, extra):
+    """On a Haar-random gate file, and at tol 1e-2 where reports are large, analyze writes json.dumps's text.
+
+    Its CSV rows hold the same floats as the JSON certificates.
+    """
+    path = tmp_path / "haar.json"
+    save_gate_file(path, "haar", random_unitary(np.random.default_rng(1018)))
+    args = ["analyze", str(path), "--grid-theta", "21", "--grid-phi", "40"] + extra
+    code, out, _ = run_cli(args)
+    report = json.loads(out)
+    assert code == 0 and (report["equilibrium_count"] > 200 or not extra)
+    assert json.dumps(report, indent=2) + "\n" == out
+    rows = []
+    for cert in report["equilibria"]:
+        (x1, y1), (x2, y2) = cert["play"]["player1"], cert["play"]["player2"]
+        rows.append(",".join(repr(v) for v in [*x1, *y1, *x2, *y2, *cert["payoffs"], *cert["best"], *cert["achieved"]]))
+    code, out, _ = run_cli(args + ["--csv"])
+    assert code == 0 and out.splitlines()[1:] == rows
+
+
+def test_analyze_library_report_at_loose_tol_is_byte_identical():
+    code, out, _ = run_cli(["analyze", "bell_mechanism", "--tol", "1e-2", "--grid-theta", "21", "--grid-phi", "40"])
+    report = json.loads(out)
+    assert code == 0 and report["equilibrium_count"] > 200
+    assert json.dumps(report, indent=2) + "\n" == out
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch):

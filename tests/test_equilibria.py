@@ -434,6 +434,31 @@ def test_witnesses_improve_and_verdicts_ignore_global_phase(seed, prefs, count, 
     assert [c.is_equilibrium for c in verify_equilibria(phased, a, b, tol)] == [c.is_equilibrium for c in certs]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prefs=st.sampled_from(ALL_PREFS),
+    count=st.integers(1, 12),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    alpha=st.floats(0.0, 2.0 * math.pi),
+    player=st.sampled_from([1, 2]),
+)
+def test_verdicts_ignore_a_local_phase(seed, prefs, count, tol, alpha, player):
+    """A phase e^{i alpha} on either player's strategy changes no verdict and moves achieved and best by at most 1e-12."""
+    rng = np.random.default_rng(seed)
+    g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
+    plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(count)] + k_equilibria(g)
+    a, b = stacked(plays)
+    phase = np.exp(1j * alpha)
+    certs = verify_equilibria(g, a, b, tol)
+    phased = verify_equilibria(g, a * phase, b, tol) if player == 1 else verify_equilibria(g, a, b * phase, tol)
+    assert [c.is_equilibrium for c in phased] == [c.is_equilibrium for c in certs]
+    assert any(c.is_equilibrium for c in certs)
+    for c, d in zip(certs, phased):
+        for name in ("achieved1", "achieved2", "best1", "best2"):
+            assert abs(getattr(c, name) - getattr(d, name)) <= 1e-12
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
 def test_search_certificates_match_scalar_recertification(tol):
     """Search certificates equal those of each survivor rebuilt from its Bloch angles and certified alone."""
@@ -621,13 +646,13 @@ def test_library_scans_evaluate_few_pairs(monkeypatch):
 
 
 def count_phase_copies(monkeypatch) -> list:
-    """Record, for every copy-path lookup, how many strategies it expanded to."""
+    """Record, for every strategy index the copy path expands, how many strategies it expanded to."""
     calls = []
     original = equilibria._phase_copies
 
     def counted(index, grid):
         copies = original(index, grid)
-        calls.append(copies.size)
+        calls.extend(copies.tolist())
         return copies
 
     monkeypatch.setattr(equilibria, "_phase_copies", counted)
@@ -647,6 +672,19 @@ def test_pole_copy_path_matches_dense_oracle_with_wide_guards(monkeypatch):
     for _ in range(6):
         assert_same_representatives(QuantumGame(random_unitary(rng), random_prefs(rng)), GridSpec(21, 40), 1e-2)
     assert sum(size > 1 for size in calls) > 100  # many fragile pairs had their pole copies scanned
+
+
+@pytest.mark.parametrize("copy_pairs", [equilibria._COPY_PAIRS, 50])
+def test_pole_copy_path_at_a_tiny_tol_matches_dense_oracle(monkeypatch, copy_pairs):
+    """At tol 1e-15 about half of the pole pairs of bell_circuit with preferences (0, 3) are fragile.
+
+    Their copies, expanded in blocks of fragile pairs (two pairs per block
+    at copy_pairs 50), keep the dense oracle's representatives.
+    """
+    monkeypatch.setattr(equilibria, "_COPY_PAIRS", copy_pairs)
+    calls = count_phase_copies(monkeypatch)
+    assert_same_representatives(QuantumGame(BELL_CIRCUIT, PreferenceProfile(0, 3)), GridSpec(13, 24), 1e-15)
+    assert sum(size > 1 for size in calls) > 500  # the copy path ran, for hundreds of fragile pairs
 
 
 def theta_pi_copy_checks(g, grid, j, tol):
