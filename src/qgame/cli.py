@@ -144,24 +144,23 @@ def _complex_arg(text: str) -> complex:
     return value
 
 
-def _pair_arg(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+def _two_arg(convert, noun: str):
+    """An argparse type reading 'A,B' as (convert(A), convert(B)); noun names the values in its error."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        try:
+            if len(parts) == 2:
+                return convert(parts[0]), convert(parts[1])
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected two comma-separated {noun}, got {text!r}")
+
+    return parse
 
 
-def _prefs_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated indices, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated indices, got {text!r}")
+_pair_arg = _two_arg(float, "numbers")
+_prefs_arg = _two_arg(int, "indices")
 
 
 def _case_pair_arg(text: str) -> tuple[int, int]:
@@ -618,10 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgame", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False, csv=False):
+    def common(p, grid=False, csv=False, out="write the report to this path instead of stdout"):
         p.add_argument("--tol", type=float, help="equilibrium slack, default 1e-9")
         p.add_argument("--prefs", type=_prefs_arg, metavar="I,J", help="preferred outcomes, default 0,1")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
+        p.add_argument("--out", help=out)
         if grid:
             p.add_argument("--grid-theta", type=int, help="theta samples for the search grid")
             p.add_argument("--grid-phi", type=int, help="phi samples for the search grid")
@@ -659,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("strict", "paper_bound"), default="strict")
     p.add_argument("--deviation", type=_pair_arg, default=(math.pi, 0.0), metavar="T,P",
                    help="deviation the paper_bound cap is evaluated at; default pi,0")
-    common(p)
+    common(p, out="also write the synthesized unitary to this path as a gate file; the report still goes to stdout")
 
     p = sub.add_parser("gates", help="inspect the built-in gate library")
     gates_sub = p.add_subparsers(dest="gates_command", required=True)

@@ -75,7 +75,11 @@ class EquilibriumCertificate:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Strategy grid resolution: theta samples in [0, pi], phi samples in [0, 2 pi)."""
+    """Strategy grid resolution: theta samples in [0, pi], phi samples in [0, 2 pi).
+
+    Grid indices count all theta_points * phi_points points, theta-major, but each
+    pole is one strategy, its phi = 0 point: the rest of its row are phase copies.
+    """
 
     theta_points: int = 61
     phi_points: int = 120
@@ -258,13 +262,6 @@ def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return thetas, phis, x, y
 
 
-# Rounding guards of _candidate_pairs' pole-copy shortcut: over 100x the measured
-# copy-to-representative gaps (5.6e-16 in achieved and best, 1.1e-15 in achieved^2),
-# and _CELL_GUARD < 1.25e-13, the distance from achieved^2 = 1 to a payoff cell edge.
-_PASS_GUARD = 1e-12
-_CELL_GUARD = 1.2e-13
-_COPY_PAIRS = 1 << 18  # copy pairs checked per block, which keeps their temporaries to tens of MB
-
 # Rounding guards of the best-response windows (_window_pairs).  Over 55 M passing
 # pairs of library and Haar games, at tol from 0 to 1 and at tols that put pairs
 # exactly on a pass threshold, an achieved modulus exceeded its row bound by at most
@@ -278,11 +275,6 @@ _FULL_ROW = 1e-6  # a row whose phi term 2csAB is below this times best^2 is sca
 
 def _payoff(achieved_sq: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(achieved_sq, 0.0, 1.0))
-
-
-def _phase_copies(index: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """How many grid strategies each index starts: a pole representative's whole row, else itself alone."""
-    return np.where((index == 0) | (index == (grid.theta_points - 1) * grid.phi_points), grid.phi_points, 1)
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +301,9 @@ def _theta_windows(a, b, best, tol: float, theta_points: int) -> tuple[np.ndarra
 
 
 def _window_pairs(
-    thetas: np.ndarray, per_row: int, reps: np.ndarray, player1, player2, tol: float
+    thetas: np.ndarray, per_row: int, strategies: np.ndarray, player1, player2, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid pairs (i, j) of non-copy strategies that the best-response windows leave to check.
+    """Pairs (i, j) of grid strategies that the best-response windows leave to check.
 
     player1 and player2 are each player's (a, b, best) against every grid
     strategy.  i ranges over player one's window against j: its theta-rows
@@ -323,10 +315,10 @@ def _window_pairs(
     small to place the window is taken whole.
     """
     (a1, b1, best1), (a2, b2, best2) = player1, player2
-    row = reps // per_row
+    row = strategies // per_row
 
     # reached[k, k2]: some i on row k has row k2 in player two's theta-window.
-    first, count = _theta_windows(a2[reps], b2[reps], best2[reps], tol, thetas.size)
+    first, count = _theta_windows(a2[strategies], b2[strategies], best2[strategies], tol, thetas.size)
     on = count > 0
     edges = np.zeros((thetas.size, thetas.size + 1), np.int64)
     np.add.at(edges, (row[on], first[on]), 1)
@@ -334,9 +326,9 @@ def _window_pairs(
     reached = np.cumsum(edges[:, :-1], axis=1) > 0
 
     # Each (row k of i, j) in player one's theta-window of j, where player two's windows reach.
-    span, k = _spans(*_theta_windows(a1[reps], b1[reps], best1[reps], tol, thetas.size))
+    span, k = _spans(*_theta_windows(a1[strategies], b1[strategies], best1[strategies], tol, thetas.size))
     keep = reached[k, row[span]]
-    j, k = reps[span[keep]], k[keep]
+    j, k = strategies[span[keep]], k[keep]
 
     c, s = np.cos(thetas / 2.0)[k], np.sin(thetas / 2.0)[k]
     big_a, big_b, best = np.abs(a1[j]), np.abs(b1[j]), best1[j]
@@ -349,7 +341,7 @@ def _window_pairs(
     step = 2.0 * math.pi / per_row
     first = np.ceil((centre - half) / step).astype(np.int64)
     count = np.minimum(np.floor((centre + half) / step).astype(np.int64) - first + 1, per_row)
-    pole = (k == 0) | (k == thetas.size - 1)  # only the phi = 0 representative
+    pole = (k == 0) | (k == thetas.size - 1)  # a pole is its phi = 0 point alone
     first[pole], count[pole] = 0, 1
     span, col = _spans(first, count)
     return k[span] * per_row + col % per_row, j[span]
@@ -358,20 +350,11 @@ def _window_pairs(
 def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair indices i*n + j and payoff angles of passing grid pairs, in grid order.
 
-    Returns every passing pair that can be the first pair of its rounded
-    payoff cell.  Against a fixed opponent a deviator passes only near
-    their best response, so the exact checks run only on the pairs inside
-    the closed-form windows of _window_pairs.
-
-    The theta = 0 and theta = pi rows hold phase copies of |0> and |1>
-    that differ from their phi = 0 representative by rounding only and
-    come after it in grid order, so a copy pair passes with its
-    representative pair, in its cell, unless that pair is fragile: within
-    _PASS_GUARD of a pass threshold, or in another cell once achieved^2
-    moves by _CELL_GUARD.  Copies are scanned for fragile pairs only.
+    A deviator passes only near their best response, so the exact checks
+    run only on the pairs of grid strategies in _window_pairs' windows.
     """
     thetas, _, x, y = _grid_amplitudes(grid)
-    n, per_row, last = x.size, grid.phi_points, x.size - grid.phi_points
+    n, per_row = x.size, grid.phi_points
     m1, m2 = _target_matrices(g)
 
     # Each player's coefficient pair and best value against every opposing grid strategy.
@@ -379,42 +362,14 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     a2, b2 = _contract(m2.T, x, y)
     best1, best2 = np.hypot(np.abs(a1), np.abs(b1)), np.hypot(np.abs(a2), np.abs(b2))
 
-    def check(i, j):
-        achieved1 = np.abs(x[i] * a1[j] + y[i] * b1[j])
-        achieved2 = np.abs(a2[i] * x[j] + b2[i] * y[j])
-        return (achieved1 >= best1[j] - tol) & (achieved2 >= best2[i] - tol), achieved1, achieved2
-
-    found = []  # pair index, achieved1, achieved2
-
-    def scan(i, j):
-        ok, achieved1, achieved2 = check(i, j)
-        found.append((i[ok] * n + j[ok], achieved1[ok], achieved2[ok]))
-
-    reps = np.r_[0, per_row : last + 1]  # the non-copy strategies
-    scan(*_window_pairs(thetas, per_row, reps, (a1, b1, best1), (a2, b2, best2), tol))
-
-    # Every representative pair with a pole, whether pruned or not.
-    i = np.concatenate([np.repeat([0, last], reps.size), np.repeat(reps[1:-1], 2)])
-    j = np.concatenate([np.tile(reps, 2), np.tile([0, last], reps.size - 2)])
-    ok, achieved1, achieved2 = check(i, j)
-    fragile = (np.abs(achieved1 - (best1[j] - tol)) <= _PASS_GUARD) | (np.abs(achieved2 - (best2[i] - tol)) <= _PASS_GUARD)
-    for achieved_sq in (achieved1[ok] ** 2, achieved2[ok] ** 2):
-        lo, hi = (np.round(_payoff(achieved_sq + d) / TOL.payoff_dedup) for d in (-_CELL_GUARD, _CELL_GUARD))
-        fragile[ok] |= lo != hi
-    # Every copy of i against every copy of j, for blocks of fragile pairs.  A pair with one
-    # pole has phi_points copy pairs; at most four pairs have two poles.
-    i, j = i[fragile], j[fragile]
-    step = max(1, _COPY_PAIRS // per_row)
-    for start in range(0, i.size, step):
-        block_i, block_j = i[start : start + step], j[start : start + step]
-        span, copies_i = _spans(block_i, _phase_copies(block_i, grid))
-        span, copies_j = _spans(block_j[span], _phase_copies(block_j, grid)[span])
-        scan(copies_i[span], copies_j)
-
-    # Back to grid order; np.unique keeps one of a fragile representative pair's two scans.
-    index, achieved1, achieved2 = (np.concatenate(parts) for parts in zip(*found))
-    index, order = np.unique(index, return_index=True)
-    return index, _payoff(achieved1[order] ** 2), _payoff(achieved2[order] ** 2)
+    strategies = np.r_[0, per_row : n - per_row + 1]
+    i, j = _window_pairs(thetas, per_row, strategies, (a1, b1, best1), (a2, b2, best2), tol)
+    achieved1 = np.abs(x[i] * a1[j] + y[i] * b1[j])
+    achieved2 = np.abs(a2[i] * x[j] + b2[i] * y[j])
+    ok = (achieved1 >= best1[j] - tol) & (achieved2 >= best2[i] - tol)
+    index = i[ok] * n + j[ok]
+    order = np.argsort(index)
+    return index[order], _payoff(achieved1[ok][order] ** 2), _payoff(achieved2[ok][order] ** 2)
 
 
 def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:
@@ -441,10 +396,10 @@ def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> lis
 def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
     """Equilibrium scan over all grid strategy pairs.
 
-    Both players range over the same Bloch grid.  A pair is a candidate
-    when both closed-form deviation checks pass at slack tol; the checks
-    run only inside each opponent's best-response windows and skip the
-    poles' phase copies (see _candidate_pairs).  Candidates are
+    Both players range over the same Bloch grid's strategies, one per pole
+    (see GridSpec).  A pair is a candidate when both closed-form deviation
+    checks pass at slack tol; the checks run only inside each opponent's
+    best-response windows (see _candidate_pairs).  Candidates are
     de-duplicated by payoff proximity, first in grid order winning, in
     rounded payoff-cell buckets, exactly as if every pair were tested;
     survivors are re-certified in one verify_equilibria call.  The

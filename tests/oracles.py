@@ -7,12 +7,11 @@ closed forms is evidence, not an identity between two copies of the same
 code.
 
 dense_candidate_pairs and quadratic_dedup are the plain forms of the
-equilibrium search's two phases: every grid pair is tested, and every
-payoff pair is compared with every kept one.  The library's scan returns
-fewer candidates, since it leaves out the pole phase copies that can
-never be the first pair of their payoff cell, so what must match is the
-dedup's output: the library's pruned scan and bucketed dedup must keep
-the oracles' representatives, pair indices and payoff bits, bit for bit.
+equilibrium search's two phases: every pair of grid strategies is
+tested, and every payoff pair is compared with every kept one.  The
+library's pruned scan must return the same passing pairs, and its
+bucketed dedup must keep the oracles' representatives, pair indices and
+payoff bits, bit for bit.
 
 scalar_verify_equilibrium is the per-play certification that
 verify_equilibria replaced: one outcome and one pair of numpy-scalar
@@ -74,12 +73,19 @@ def sweep_max_improvements(
     return best1, best2
 
 
+def pole_copies(grid) -> np.ndarray:
+    """Grid indices of the pole rows' points other than phi = 0, which are no grid strategy."""
+    n, per_row = grid.theta_points * grid.phi_points, grid.phi_points
+    return np.r_[1:per_row, n - per_row + 1 : n]
+
+
 def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every grid pair tested, blocked over player one's grid index.
+    """Every pair of grid strategies tested, blocked over player one's grid index.
 
     Flat pair indices i*n + j and the two payoff angles of every passing
-    pair, in grid order: qgame.equilibria._candidate_pairs returns a
-    subset of these that quadratic_dedup reduces to the same pairs.
+    pair, in grid order.  A pole is one strategy, its phi = 0 point, so a
+    pair naming another point of a pole row is dropped, as in
+    qgame.equilibria.GridSpec.
     """
     thetas = np.linspace(0.0, np.pi, grid.theta_points)
     phis = np.linspace(0.0, 2.0 * np.pi, grid.phi_points, endpoint=False)
@@ -109,7 +115,9 @@ def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, 
         cand_index.append((start + ii).astype(np.int64) * n + jj)
         cand_payoff1.append(np.arccos(np.clip(achieved1[ii, jj] ** 2, 0.0, 1.0)))
         cand_payoff2.append(np.arccos(np.clip(achieved2[ii, jj] ** 2, 0.0, 1.0)))
-    return np.concatenate(cand_index), np.concatenate(cand_payoff1), np.concatenate(cand_payoff2)
+    index = np.concatenate(cand_index)
+    keep = ~np.isin(np.divmod(index, n), pole_copies(grid)).any(axis=0)
+    return index[keep], np.concatenate(cand_payoff1)[keep], np.concatenate(cand_payoff2)[keep]
 
 
 def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:

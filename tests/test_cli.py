@@ -112,6 +112,23 @@ def test_verify_bad_bloch_angle_exits_two():
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--bloch", "1", "0,0"], "argument --bloch: expected two comma-separated numbers, got '1'"),
+        (["--bloch", "1,x", "0,0"], "argument --bloch: expected two comma-separated numbers, got '1,x'"),
+        (["--bloch", "0,0", "0,0", "--prefs", "0,x"], "argument --prefs: expected two comma-separated indices, got '0,x'"),
+        (["--bloch", "0,0", "0,0", "--prefs", "0,1,2"], "argument --prefs: expected two comma-separated indices, got '0,1,2'"),
+    ],
+    ids=["bloch-one-value", "bloch-not-a-number", "prefs-not-an-index", "prefs-three-values"],
+)
+def test_malformed_pair_exits_two_with_its_message(args, message):
+    code, out, err = run_cli(["verify", "cnot", *args])
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"qgame verify: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "args, code",
     [
         (["verify", "cnot", "--bloch", "0,{phi}", "0,0"], 1),
@@ -482,6 +499,22 @@ def test_mechanism_writes_gate_file(tmp_path):
     # the synthesized gate verifies as an equilibrium through the CLI too
     code, _, _ = run_cli(["verify", str(path), "--play", "1", "0", "1", "0"])
     assert code == 0
+
+
+def test_mechanism_out_help_describes_the_gate_file(tmp_path):
+    """mechanism's --out help names the gate file it writes; the report commands keep the shared text."""
+    helps = {command: run_cli([command, "--help"]) for command in ("mechanism", "analyze", "verify", "region")}
+    assert all(code == 0 for code, _, _ in helps.values())
+    help_text = {command: " ".join(out.split()) for command, (_, out, _) in helps.items()}
+    assert "--out OUT also write the synthesized unitary to this path as a gate file; the report still goes to stdout" in help_text.pop("mechanism")
+    assert all("--out OUT write the report to this path instead of stdout" in text for text in help_text.values())
+    path = tmp_path / "gate.json"
+    code, out, _ = run_cli(["mechanism", "bell", "--out", str(path)])
+    assert code == 0
+    assert json.loads(out)["gate_file"] == str(path)  # the report itself went to stdout
+    name, unitary = load_gate_file(path)
+    assert name == "bell_strict"
+    assert check_unitary(unitary.mat)
 
 
 def test_mechanism_paper_bound_honest_failure(tmp_path):

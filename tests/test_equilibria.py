@@ -12,6 +12,7 @@ from oracles import (
     certificate_bits,
     dense_candidate_pairs,
     grid_max_target_amplitude,
+    pole_copies,
     quadratic_dedup,
     scalar_search_certificates,
     scalar_verify_equilibrium,
@@ -527,24 +528,26 @@ def representatives(candidates, dedup):
     return [(a.dtype.str, a[kept].tobytes()) for a in (index, payoff1, payoff2)]
 
 
-def window_misses(expected, got, grid):
-    """How many passing pairs of the dense scan expected, with no pole phase copy, the scan got leaves out.
+def window_misses(expected, got):
+    """How many passing pairs of the dense scan expected the scan got leaves out.
 
     The pairs it keeps must carry the dense scan's payoff bits.
     """
     index, payoff1, payoff2 = expected
-    per_row, n = grid.phi_points, grid.theta_points * grid.phi_points
-    copy = [(k % per_row > 0) & ((k < per_row) | (k >= n - per_row)) for k in np.divmod(index, n)]
-    want = ~copy[0] & ~copy[1]
-    common, at_want, at_got = np.intersect1d(index[want], got[0], return_indices=True)
-    assert got[1][at_got].tobytes() == payoff1[want][at_want].tobytes()
-    assert got[2][at_got].tobytes() == payoff2[want][at_want].tobytes()
-    return want.sum() - common.size
+    common, at_want, at_got = np.intersect1d(index, got[0], return_indices=True)
+    assert got[1][at_got].tobytes() == payoff1[at_want].tobytes()
+    assert got[2][at_got].tobytes() == payoff2[at_want].tobytes()
+    return index.size - common.size
 
 
 def scans(g, grid, tol):
-    """The dense oracle's candidates and the library scan's, at one game, grid and tol."""
-    return dense_candidate_pairs(g, grid, tol), equilibria._candidate_pairs(g, grid, tol)
+    """The dense oracle's candidates and the library scan's, at one game, grid and tol.
+
+    No pair the scan returns names a pole copy.
+    """
+    got = equilibria._candidate_pairs(g, grid, tol)
+    assert not np.isin(np.divmod(got[0], grid.theta_points * grid.phi_points), pole_copies(grid)).any()
+    return dense_candidate_pairs(g, grid, tol), got
 
 
 def assert_same_representatives(g, grid, tol):
@@ -552,7 +555,7 @@ def assert_same_representatives(g, grid, tol):
     expected, got = scans(g, grid, tol)
     assert np.all(np.diff(got[0]) > 0)  # grid order, each pair once
     assert representatives(got, equilibria._dedup_payoffs) == representatives(expected, quadratic_dedup)
-    assert window_misses(expected, got, grid) == 0
+    assert window_misses(expected, got) == 0
     return expected
 
 
@@ -587,34 +590,71 @@ def test_windows_keep_every_passing_pair_on_random_games(tol):
     rng = np.random.default_rng(83)
     grid = GridSpec(21, 40)
     for _ in range(20):
-        assert window_misses(*scans(QuantumGame(random_unitary(rng), random_prefs(rng)), grid, tol), grid) == 0
+        assert window_misses(*scans(QuantumGame(random_unitary(rng), random_prefs(rng)), grid, tol)) == 0
 
 
-def threshold_tolerances(g, grid, count):
-    """count tol values, small to large, at each of which some grid pair sits on a player's pass threshold."""
+def threshold_tolerances(g, grid, count, poles_only=False):
+    """count tol values, small to large, at each of which some grid pair sits on a player's pass threshold.
+
+    With poles_only, only pairs of grid strategies in which a player plays a pole count.
+    """
     _, _, x, y = equilibria._grid_amplitudes(grid)
     m1, m2 = equilibria._target_matrices(g)
     (a1, b1), (a2, b2) = equilibria._contract(m1, x, y), equilibria._contract(m2.T, x, y)
     gap1 = np.hypot(np.abs(a1), np.abs(b1)) - np.abs(x[:, None] * a1 + y[:, None] * b1)  # [i, j]
     gap2 = np.hypot(np.abs(a2), np.abs(b2))[:, None] - np.abs(a2[:, None] * x + b2[:, None] * y)
+    if poles_only:
+        pole = np.isin(np.arange(x.size), [0, x.size - grid.phi_points])
+        strategy = ~np.isin(np.arange(x.size), pole_copies(grid))
+        on = (pole[:, None] | pole) & (strategy[:, None] & strategy)
+        gap1, gap2 = gap1[on], gap2[on]
     gaps = np.unique(np.concatenate([gap1.ravel(), gap2.ravel()]))
     gaps = gaps[gaps > 0]
     return gaps[np.linspace(0, gaps.size - 1, count).astype(int)].tolist()
 
 
-def threshold_cases():
+def threshold_cases(poles_only=False):
     """Games at 13x24, each with tols that put some of its grid pairs on a pass threshold."""
     grid = GridSpec(13, 24)
     games = [QuantumGame(entry.unitary, PreferenceProfile(*prefs)) for entry in LIBRARY.values() for prefs in ALL_PREFS[::2]]
     rng = np.random.default_rng(97)
     games += [QuantumGame(random_unitary(rng), random_prefs(rng)) for _ in range(8)]
-    return [(g, grid, tol) for g in games for tol in threshold_tolerances(g, grid, 4)[1:]]
+    return [(g, grid, tol) for g in games for tol in threshold_tolerances(g, grid, 4, poles_only)[1:]]
 
 
 def test_windows_keep_pairs_on_the_pass_threshold():
     """At a tol that puts grid pairs exactly on a pass threshold, the windows' rounding guards keep them."""
     for g, grid, tol in threshold_cases():
-        assert window_misses(*scans(g, grid, tol), grid) == 0
+        assert window_misses(*scans(g, grid, tol)) == 0
+
+
+def test_windows_keep_pole_pairs_on_the_pass_threshold():
+    """The same at tols that put a pair with a pole player on a pass threshold: the windows alone guard the poles."""
+    for g, grid, tol in threshold_cases(poles_only=True):
+        assert window_misses(*scans(g, grid, tol)) == 0
+
+
+@pytest.mark.parametrize("phi_points", [2, 5])
+def test_all_pole_grid_finds_the_passing_basis_plays(phi_points):
+    """On a grid of the two poles alone the search keeps the deduplicated passing plays among |0>, |1>.
+
+    Each result is verify_equilibrium's certificate of its play, bit for bit.
+    """
+    grid = GridSpec(2, phi_points)
+    _, _, x, y = equilibria._grid_amplitudes(grid)
+    poles = [QubitState(np.array([x[k], y[k]])) for k in (0, phi_points)]
+    rng = np.random.default_rng(101)
+    games = [QuantumGame(entry.unitary, PreferenceProfile(*prefs)) for entry in LIBRARY.values() for prefs in ALL_PREFS]
+    games += [QuantumGame(random_unitary(rng), random_prefs(rng)) for _ in range(12)]
+    found = 0
+    for g in games:
+        for tol in (1e-9, 1e-2):
+            passing = [c for a in poles for b in poles if (c := verify_equilibrium(g, Play(a, b), tol)).is_equilibrium]
+            kept = quadratic_dedup(np.array([c.payoff1 for c in passing]), np.array([c.payoff2 for c in passing]), TOL.payoff_dedup)
+            got = [certificate_bits(c) for c in search_equilibria(g, grid, tol)]
+            assert got == [certificate_bits(passing[r]) for r in kept]
+            found += len(got)
+    assert found > len(games)
 
 
 @pytest.mark.parametrize("guards", [("_REACH_GUARD", "_THETA_GUARD"), ("_REACH_GUARD", "_PHI_GUARD")])
@@ -622,8 +662,16 @@ def test_threshold_pairs_are_lost_without_a_windows_guards(monkeypatch, guards):
     """With either window's two rounding guards at zero, the threshold cases above lose a passing pair."""
     for name in guards:
         monkeypatch.setattr(equilibria, name, 0.0)
-    if not any(window_misses(*scans(g, grid, tol), grid) for g, grid, tol in threshold_cases()):
+    if not any(window_misses(*scans(g, grid, tol)) for g, grid, tol in threshold_cases()):
         pytest.fail("every threshold pair was kept without the guards")
+
+
+def test_pole_threshold_pairs_are_lost_without_the_theta_guards(monkeypatch):
+    """With the theta-window's two guards at zero, the pole threshold cases lose a passing pair."""
+    for name in ("_REACH_GUARD", "_THETA_GUARD"):
+        monkeypatch.setattr(equilibria, name, 0.0)
+    if not any(window_misses(*scans(g, grid, tol)) for g, grid, tol in threshold_cases(poles_only=True)):
+        pytest.fail("every pole threshold pair was kept without the guards")
 
 
 def test_library_scans_evaluate_few_pairs(monkeypatch):
@@ -643,98 +691,6 @@ def test_library_scans_evaluate_few_pairs(monkeypatch):
     for name, entry in LIBRARY.items():
         equilibria._candidate_pairs(QuantumGame(entry.unitary), GridSpec(), TOL.equilibrium)
         assert sizes[-1] <= (20_000 if name == "bell_circuit" else 10_000), name
-
-
-def count_phase_copies(monkeypatch) -> list:
-    """Record, for every strategy index the copy path expands, how many strategies it expanded to."""
-    calls = []
-    original = equilibria._phase_copies
-
-    def counted(index, grid):
-        copies = original(index, grid)
-        calls.extend(copies.tolist())
-        return copies
-
-    monkeypatch.setattr(equilibria, "_phase_copies", counted)
-    return calls
-
-
-def test_pole_copy_path_matches_dense_oracle_with_wide_guards(monkeypatch):
-    monkeypatch.setattr(equilibria, "_PASS_GUARD", 1e-2)
-    monkeypatch.setattr(equilibria, "_CELL_GUARD", 1e-7)
-    calls = count_phase_copies(monkeypatch)
-    grid = GridSpec(13, 24)
-    for tol in (1e-9, 1e-2):
-        for entry in LIBRARY.values():
-            for prefs in ALL_PREFS:
-                assert_same_representatives(QuantumGame(entry.unitary, PreferenceProfile(*prefs)), grid, tol)
-    rng = np.random.default_rng(89)
-    for _ in range(6):
-        assert_same_representatives(QuantumGame(random_unitary(rng), random_prefs(rng)), GridSpec(21, 40), 1e-2)
-    assert sum(size > 1 for size in calls) > 100  # many fragile pairs had their pole copies scanned
-
-
-@pytest.mark.parametrize("copy_pairs", [equilibria._COPY_PAIRS, 50])
-def test_pole_copy_path_at_a_tiny_tol_matches_dense_oracle(monkeypatch, copy_pairs):
-    """At tol 1e-15 about half of the pole pairs of bell_circuit with preferences (0, 3) are fragile.
-
-    Their copies, expanded in blocks of fragile pairs (two pairs per block
-    at copy_pairs 50), keep the dense oracle's representatives.
-    """
-    monkeypatch.setattr(equilibria, "_COPY_PAIRS", copy_pairs)
-    calls = count_phase_copies(monkeypatch)
-    assert_same_representatives(QuantumGame(BELL_CIRCUIT, PreferenceProfile(0, 3)), GridSpec(13, 24), 1e-15)
-    assert sum(size > 1 for size in calls) > 500  # the copy path ran, for hundreds of fragile pairs
-
-
-def theta_pi_copy_checks(g, grid, j, tol):
-    """Player one's achieved moduli and both pass flags for the theta = pi row against strategy j."""
-    _, _, x, y = equilibria._grid_amplitudes(grid)
-    m1, m2 = equilibria._target_matrices(g)
-    (a1, b1), (a2, b2) = equilibria._contract(m1, x, y), equilibria._contract(m2.T, x, y)
-    copies = np.arange(x.size - grid.phi_points, x.size)
-    achieved1 = np.abs(x[copies] * a1[j] + y[copies] * b1[j])
-    achieved2 = np.abs(a2[copies] * x[j] + b2[copies] * y[j])
-    best1, best2 = np.hypot(np.abs(a1[j]), np.abs(b1[j])), np.hypot(np.abs(a2[copies]), np.abs(b2[copies]))
-    return achieved1, best1, achieved1 >= best1 - tol, achieved2 >= best2 - tol
-
-
-def test_pole_copy_path_keeps_a_copy_pair_its_representative_loses(monkeypatch):
-    """At a tol on the edge of player one's check, a theta = pi copy pair passes where its representative fails.
-
-    The scan keeps the dense oracle's representatives there; with the pass
-    guard closed, so that no pair is fragile, it loses one.
-    """
-    grid = GridSpec(13, 24)
-    rng = np.random.default_rng(9)
-    g = QuantumGame(random_unitary(rng), random_prefs(rng))
-
-    def kept(scan, tol):
-        # The bucketed dedup, which matches quadratic_dedup above, is far faster at so loose a tol.
-        return representatives(scan(g, grid, tol), equilibria._dedup_payoffs)
-
-    for j in range(grid.phi_points, grid.phi_points * (grid.theta_points - 1)):
-        achieved1, best1, _, _ = theta_pi_copy_checks(g, grid, j, 0.0)
-        tol, best = best1 - achieved1.max(), achieved1.argmax()
-        _, _, pass1, pass2 = theta_pi_copy_checks(g, grid, j, tol)
-        if not (pass1[best] and pass2[best] and not pass1[0]):
-            continue
-        dense = kept(dense_candidate_pairs, tol)
-        assert kept(equilibria._candidate_pairs, tol) == dense
-        monkeypatch.setattr(equilibria, "_PASS_GUARD", -1.0)
-        if kept(equilibria._candidate_pairs, tol) != dense:
-            return
-        monkeypatch.undo()
-    pytest.fail("no tolerance found at which a copy pair decides the result")
-
-
-def test_library_scan_evaluates_no_pole_copies(monkeypatch):
-    """Regression guard: no library representative is fragile, so the scan never expands poles."""
-    calls = count_phase_copies(monkeypatch)
-    for entry in LIBRARY.values():
-        for prefs in ALL_PREFS:
-            equilibria._candidate_pairs(QuantumGame(entry.unitary, PreferenceProfile(*prefs)), GridSpec(13, 24), 1e-9)
-    assert calls == []
 
 
 def half_cell_payoffs(step):
