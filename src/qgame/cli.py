@@ -25,7 +25,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,7 +32,6 @@ import numpy as np
 
 from .equilibria import (
     CASE_PAIRS,
-    DegenerateCoefficientError,
     EquilibriumCertificate,
     GridSpec,
     feasibility_region,
@@ -260,7 +258,10 @@ def _certificate_dict(cert: EquilibriumCertificate) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise QGameError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -269,60 +270,8 @@ def _emit(text: str, out_path: str | None) -> None:
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _Rendered:
-    """A value that _json_text writes as render(indent): text already in json.dumps's layout."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        self.render = render
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, written in one recursive pass.
-
-    json.dumps leaves its C encoder when indenting, which made it the
-    slowest step of a large report.  indent is the newline and indentation
-    of value's nesting level.  Floats, numpy.float64 among them, are written
-    by float.__repr__, and bool is tested before int, as json.dumps does.
-    Dict keys must be str.  A _Rendered value writes itself at its indent:
-    cmd_analyze's certificate list, filled from one template per layout
-    (_certificate_template) that this function rendered from a marker
-    certificate.
-    """
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOATS.get(text, text)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, _Rendered):
-        return value.render(indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _emit_json(report, out_path: str | None) -> None:
-    _emit(_json_text(report) + "\n", out_path)
+    _emit(json.dumps(report, indent=2) + "\n", out_path)
 
 
 # A marker certificate's float k is 1e+1kk, which no other text of a certificate holds.
@@ -334,8 +283,9 @@ _NO_WITNESS = np.zeros(2, dtype=complex)
 def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witness_player) -> str:
     """str.format template of _certificate_dict's text at a nesting indent; {k} is float k of _certificate_floats.
 
-    It is _json_text of the dict of a marker certificate whose floats are
-    the markers, so it has _certificate_dict's layout by construction.
+    It is json.dumps's text of the dict of a marker certificate whose
+    floats are the markers, indented to the nesting level, so it has
+    _certificate_dict's layout by construction.
     """
     m = [float(f"1e1{k:02d}") for k in range(18)]
 
@@ -354,7 +304,8 @@ def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witn
         is_equilibrium=is_equilibrium,
         witness_player=witness_player,
     )
-    text = _json_text(_certificate_dict(marker), indent).replace("{", "{{").replace("}", "}}")
+    text = json.dumps(_certificate_dict(marker), indent=2).replace("\n", indent)
+    text = text.replace("{", "{{").replace("}", "}}")
     return _MARKER.sub(lambda match: "{" + str(int(match.group(1))) + "}", text)
 
 
@@ -366,11 +317,12 @@ def _certificate_floats(certs: list[EquilibriumCertificate]) -> np.ndarray:
     """
     states = np.array([(c.play.a.vec, c.play.b.vec, _NO_WITNESS if c.witness is None else c.witness.vec) for c in certs])
     scalars = [(_round_angle(c.payoff1), _round_angle(c.payoff2), c.achieved1, c.achieved2, c.best1, c.best2) for c in certs]
-    return np.concatenate([states.view(float).reshape(len(certs), 12), np.array(scalars, dtype=float)], axis=1)
+    n = len(certs)  # the reshapes give an empty list its (0, 18) shape
+    return np.concatenate([states.view(float).reshape(n, 12), np.array(scalars, dtype=float).reshape(n, 6)], axis=1)
 
 
 def _certificates_text(certs: list[EquilibriumCertificate], indent: str) -> str:
-    """_json_text([_certificate_dict(c) for c in certs], indent), byte for byte.
+    """json.dumps([_certificate_dict(c) for c in certs], indent=2) at a nesting indent, byte for byte.
 
     Each certificate fills its layout's template.  The floats of all of
     them are written in one repr of a list that holds each distinct bit
@@ -403,11 +355,12 @@ _BASIS = {0: KET0, 1: KET1}
 def cmd_analyze(args) -> int:
     """Payoff table and coefficients at the four basis plays, then the grid search's certificates.
 
-    The JSON report is json.dumps(report, indent=2) byte for byte.  Its
-    equilibria list, nearly all of a large report, is not built as dicts:
-    _certificates_text fills each certificate's cached template of
-    _certificate_dict's text, with the floats of all certificates
-    formatted in one batch.
+    The JSON report is json.dumps(report, indent=2) byte for byte.
+    json.dumps writes the envelope; the equilibria list, nearly all of a
+    large report, is not built as dicts: _certificates_text fills each
+    certificate's cached template of _certificate_dict's text, with the
+    floats of all certificates formatted in one batch.  The CSV rows are
+    columns of the same float table, _certificate_floats, written by repr.
     """
     cfg = _config_from_args(args)
     name, unitary = _resolve_gate(args.gate)
@@ -437,19 +390,10 @@ def cmd_analyze(args) -> int:
     certificates = search_equilibria(game, GridSpec(cfg.grid_theta, cfg.grid_phi), cfg.tolerance)
 
     if cfg.output_format == "csv":
+        # Player one's and two's amplitude parts, then payoffs, best and achieved.
+        rows = _certificate_floats(certificates)[:, [*range(8), 12, 13, 16, 17, 14, 15]].tolist()
         lines = ["x1_re,x1_im,y1_re,y1_im,x2_re,x2_im,y2_re,y2_im,payoff1,payoff2,best1,best2,achieved1,achieved2"]
-        for cert in certificates:
-            amps = [cert.play.a.x, cert.play.a.y, cert.play.b.x, cert.play.b.y]
-            cells = [f"{part!r}" for amp in amps for part in (amp.real, amp.imag)]
-            cells += [
-                f"{_round_angle(cert.payoff1)!r}",
-                f"{_round_angle(cert.payoff2)!r}",
-                f"{cert.best1!r}",
-                f"{cert.best2!r}",
-                f"{cert.achieved1!r}",
-                f"{cert.achieved2!r}",
-            ]
-            lines.append(",".join(cells))
+        lines += [",".join(map(repr, row)) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -459,10 +403,10 @@ def cmd_analyze(args) -> int:
         "tolerance": cfg.tolerance,
         "grid": {"theta_points": cfg.grid_theta, "phi_points": cfg.grid_phi},
         "canonical_plays": canonical,
-        "equilibria": _Rendered(functools.partial(_certificates_text, certificates)),
-        "equilibrium_count": len(certificates),
     }
-    _emit_json(report, args.out)
+    envelope = json.dumps(report, indent=2)[: -len("\n}")]
+    equilibria = _certificates_text(certificates, "\n  ")
+    _emit(f'{envelope},\n  "equilibria": {equilibria},\n  "equilibrium_count": {len(certificates)}\n}}\n', args.out)
     return 0
 
 
@@ -578,7 +522,10 @@ def cmd_mechanism(args) -> int:
         constraint_reports.append(entry)
 
     if args.out:
-        save_gate_file(args.out, f"{target_name}_{args.mode}", unitary)
+        try:
+            save_gate_file(args.out, f"{target_name}_{args.mode}", unitary)
+        except OSError as exc:
+            raise QGameError(f"cannot write {args.out}: {exc}") from None
 
     report = {
         "target": target_name,

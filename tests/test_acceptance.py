@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import run_cli
 from oracles import grid_max_target_amplitude
@@ -20,12 +19,11 @@ from qgame.equilibria import (
     feasibility_region,
     response_coefficients,
     search_equilibria,
-    verify_equilibrium,
 )
 from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
-from qgame.gates import BELL_CIRCUIT, CNOT, LIBRARY, bell_state
+from qgame.gates import BELL_CIRCUIT, CNOT, LIBRARY
 from qgame.mechanism import bell_target, certify_mechanism
-from qgame.qcore import KET0, KET1, QubitState, random_qubit_state, random_unitary
+from qgame.qcore import KET0, QubitState, random_qubit_state, random_unitary
 
 PI = math.pi
 

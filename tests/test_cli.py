@@ -143,6 +143,23 @@ def test_tiny_negative_phi_folds_to_zero(args, code):
     assert run_cli([a.format(phi="-1e-20") for a in args])[0] == code
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "cnot", "--grid-theta", "2", "--grid-phi", "3"],
+        ["verify", "cnot", "--play", "1", "0", "0", "1"],
+        ["region", "cnot", "--play", "1", "0", "1", "0"],
+        ["gates", "show", "cnot"],
+        ["mechanism", "bell"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_path_that_cannot_be_written_exits_two(tmp_path, args):
+    code, out, err = run_cli(args + ["--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
 def test_verify_out_flag_writes_report_file(tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -154,44 +171,6 @@ def test_verify_out_flag_writes_report_file(tmp_path):
 
 
 # --------------------------------------------------------------- JSON output
-
-
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 2.5, 1.7976931348623157e308]
-
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from(EDGE_FLOATS)
-    | st.builds(np.float64, st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS))
-    | st.text()
-    | st.sampled_from(["", "é", "\u2264 \u03c0/2", "\U0001d49c", "quote \" and \\ slash", "\n\t\x00\x7f"]),
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_values)
-def test_json_writer_matches_indented_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
-
-
-def test_json_writer_edge_values():
-    value = {"floats": EDGE_FLOATS + [np.float64(0.1)], "empty": [[], {}, ()], "flags": [True, False, None, 1, -7]}
-    assert cli._json_text(value) == json.dumps(value, indent=2)
-    assert cli._json_text(np.float64(-0.0)) == "-0.0"  # repr would give np.float64(-0.0)
-    assert cli._json_text([math.nan, -math.inf]) == "[\n  NaN,\n  -Infinity\n]"
-    assert cli._json_text("\u00e9") == '"\\u00e9"'
-
-
-@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object(), 1j, {1: 2}, {"a": [b"x"]}])
-def test_json_writer_rejects_non_json_values(value):
-    with pytest.raises(TypeError):
-        cli._json_text(value)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +240,6 @@ def test_certificate_template_matches_dict_writer(seed, count, tol, depth):
     indent = "\n" + "  " * depth
     dicts = [cli._certificate_dict(c) for c in certs]
     text = cli._certificates_text(certs, indent)
-    assert text == cli._json_text(dicts, indent)
     assert text == json.dumps(dicts, indent=2).replace("\n", indent)
     assert "-0.0" in text
 
@@ -276,8 +254,8 @@ def test_certificate_rows_give_every_layout():
     assert cli._certificates_text([], "\n  ") == "[]"
 
 
-def test_certificate_floats_keep_json_spellings():
-    """One batch holding -0.0, 0.0, NaN, +-inf, 5e-324 and 1e16 writes each as json.dumps does."""
+def test_certificate_floats_keep_json_spellings(monkeypatch):
+    """One batch holding -0.0, 0.0, NaN, +-inf, 5e-324 and 1e16 writes each as json.dumps does, and as repr in CSV."""
     play = Play(QubitState([complex(1.0, -0.0), complex(-0.0, 0.0)]), QubitState([complex(0.0, -0.0), complex(-1.0, 0.0)]))
     base = verify_equilibrium(QuantumGame(CNOT), play)
     witness = verify_equilibrium(QuantumGame(CNOT), Play(play.a, QubitState([1.0, 0.0])))
@@ -290,10 +268,55 @@ def test_certificate_floats_keep_json_spellings():
         certs += [dataclasses.replace(base, **values), dataclasses.replace(witness, **values)]
     dicts = [cli._certificate_dict(c) for c in certs]
     text = cli._certificates_text(certs, "\n  ")
-    assert text == cli._json_text(dicts, "\n  ")
     assert text == json.dumps(dicts, indent=2).replace("\n", "\n  ")
     for word in ("-0.0,", "0.0,", "NaN", "Infinity", "-Infinity", "5e-324", "1e+16"):
         assert word in text
+    monkeypatch.setattr(cli, "search_equilibria", lambda *args: certs)
+    code, out, _ = run_cli(["analyze", "cnot", "--csv"])
+    rows = out.splitlines()[1:]
+    assert code == 0 and rows == [csv_row(c) for c in certs]
+    cells = ",".join(rows).split(",")
+    for word in ("-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16"):
+        assert word in cells
+
+
+def csv_row(cert):
+    """One certificate's analyze --csv row, written cell by cell from its attributes."""
+    amps = [cert.play.a.x, cert.play.a.y, cert.play.b.x, cert.play.b.y]
+    cells = [part for amp in amps for part in (amp.real, amp.imag)]
+    cells += [cli._round_angle(cert.payoff1), cli._round_angle(cert.payoff2), cert.best1, cert.best2]
+    return ",".join(map(repr, cells + [cert.achieved1, cert.achieved2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 6), tol=st.sampled_from([1e-9, 1e-6, 1e-2]))
+def test_analyze_csv_rows_are_each_certificates_repr_cells(seed, count, tol):
+    """analyze --csv writes columns of the certificate float table: each certificate's own repr cells."""
+    rng = np.random.default_rng(seed)
+    t1, t2 = rng.choice(4, size=2, replace=False).tolist()
+    g = QuantumGame(random_unitary(rng), PreferenceProfile(t1, t2))
+    certs = verify_equilibria(g, *certificate_rows(g, rng, count), tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "search_equilibria", lambda *args: certs)
+        code, out, _ = run_cli(["analyze", "cnot", "--csv", "--grid-theta", "2", "--grid-phi", "3"])
+    assert code == 0 and out.splitlines()[1:] == [csv_row(c) for c in certs]
+    assert "-0.0" in out
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_analyze_without_equilibria_for_an_odd_gate_name(tmp_path, fmt):
+    """No certificates and a name holding the report's own key text: json.dumps's text, or a header alone."""
+    name = '"equilibria": [] \\" \\\\ \u00e9'
+    path = tmp_path / "odd.json"
+    save_gate_file(path, name, random_unitary(np.random.default_rng(1018)))
+    code, out, _ = run_cli(["analyze", str(path)] + fmt)
+    assert code == 0
+    if fmt:
+        assert len(out.splitlines()) == 1 and out.startswith("x1_re,")
+    else:
+        report = json.loads(out)
+        assert report["gate"] == name and report["equilibria"] == [] and report["equilibrium_count"] == 0
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 # ------------------------------------------------------------------- analyze

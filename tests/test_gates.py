@@ -11,7 +11,6 @@ from qgame.gates import (
     BELL_MECHANISM,
     CNOT,
     CZ,
-    IDENTITY,
     LIBRARY,
     SWAP,
     bell_state,

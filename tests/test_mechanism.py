@@ -95,16 +95,19 @@ def test_strict_bell_synthesis_frozen_matrix():
 
 
 def test_strict_synthesis_certifies_for_random_targets():
-    """strict mode must yield fidelity one and an equilibrium, always."""
+    """strict mode must yield fidelity one and an equilibrium, always: at every basis input play and preference pair."""
     rng = np.random.default_rng(83)
-    for _ in range(20):
-        t = MechanismTarget(random_two_qubit_state(rng))
-        u = synthesize_mechanism(t, "strict")
-        assert check_unitary(u.mat)
-        cert = certify_mechanism(u, t)
-        assert cert.fidelity >= 1.0 - 1e-12
-        assert cert.certificate.is_equilibrium
-        assert cert.certified
+    basis = (KET0, KET1)
+    for play in [Play(a, b) for a in basis for b in basis]:
+        for prefs in [PreferenceProfile(t1, t2) for t1 in range(4) for t2 in range(4) if t1 != t2]:
+            for _ in range(5):
+                t = MechanismTarget(random_two_qubit_state(rng), play, prefs)
+                u = synthesize_mechanism(t, "strict")
+                assert check_unitary(u.mat)
+                cert = certify_mechanism(u, t)
+                assert cert.fidelity >= 1.0 - 1e-12
+                assert cert.certificate.is_equilibrium
+                assert cert.certified
 
 
 def test_strict_synthesis_zeroes_improvement_entries():
