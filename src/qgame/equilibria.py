@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Play, QuantumGame, _modulus_payoff, outcome
-from .qcore import KET0, TOL, QGameError, QubitState, _apply_rows, _qubit_states, _tensor_rows, _unit_rows
+from .game import Play, QuantumGame, _modulus_payoff
+from .qcore import KET0, TOL, QGameError, QubitState, _apply_rows, _tensor_rows, _unit_rows, _wrap_rows
 
 
 class DegenerateCoefficientError(QGameError):
@@ -128,18 +128,9 @@ def _contract(m, x, y):
 
 
 def _coefficient_pair(m: np.ndarray, opponent: QubitState) -> tuple[complex, complex]:
-    """Complex pair (a, b) such that the deviator's target amplitude is a*x + b*y.
-
-    m is M1 for player one and M2^T for player two.
-    """
+    """Pair (a, b) making the deviator's target amplitude a*x + b*y; m is M1 for player one, M2^T for two."""
     a, b = _contract(m, opponent.x, opponent.y)
     return complex(a), complex(b)
-
-
-def _coefficient_pairs(g: QuantumGame, p: Play) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Player one's pair M1 b and player two's pair M2^T a at the play."""
-    m1, m2 = _target_matrices(g)
-    return _coefficient_pair(m1, p.b), _coefficient_pair(m2.T, p.a)
 
 
 def _player_matrix(g: QuantumGame, player: int) -> np.ndarray:
@@ -164,8 +155,9 @@ def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
 
 
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
-    """Coefficient moduli (p, q, p', q') at the given play."""
-    (a1, b1), (a2, b2) = _coefficient_pairs(g, p)
+    """Coefficient moduli (p, q, p', q') at the given play: of player one's pair M1 b and player two's M2^T a."""
+    m1, m2 = _target_matrices(g)
+    (a1, b1), (a2, b2) = _coefficient_pair(m1, p.b), _coefficient_pair(m2.T, p.a)
     return ResponseCoefficients(abs(a1), abs(b1), abs(a2), abs(b2))
 
 
@@ -205,18 +197,24 @@ def verify_equilibria(g: QuantumGame, a, b, tol: float = TOL.equilibrium) -> lis
     a, b = _unit_rows(a, 2, "qubit state"), _unit_rows(b, 2, "qubit state")
     if a.shape != b.shape:
         raise ValueError(f"strategy arrays hold {a.shape[0]} and {b.shape[0]} rows")
-    return _certify(g, a, b, [Play(x, y) for x, y in zip(_qubit_states(a), _qubit_states(b))], tol)
+    return _certify(g, a, b, [Play(x, y) for x, y in zip(_wrap_rows(QubitState, a), _wrap_rows(QubitState, b))], tol)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
 
 
 def _certify(g: QuantumGame, a: np.ndarray, b: np.ndarray, plays: list[Play], tol: float) -> list[EquilibriumCertificate]:
     """Certificates of the plays whose checked strategy rows are a and b.
 
     The joint states are built and mapped through U for all rows at once,
-    rounded as tensor and apply round each row.  Everything after that is
+    as tensor and apply do for one.  Everything after that is
     per-row Python complex and float arithmetic, which rounds as the numpy
     scalars of a single play do; numpy's array abs, hypot and complex
     multiply do not.
     """
+    _check_tol(tol)
     out = _apply_rows(g.u, _tensor_rows(a, b))
     t1, t2 = g.prefs.player1_target, g.prefs.player2_target
     m1, m2 = _target_matrices(g)
@@ -407,53 +405,13 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
     from the grid's array rounding, so at the margin a certificate can
     disagree with the check that kept its play.
     """
+    _check_tol(tol)
     _, _, x, y = _grid_amplitudes(grid)
     pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
     i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], x.size)
     if not i.size:  # no survivors, as on generic games at tol 1e-9: skip the empty-array set-up
         return []
     return verify_equilibria(g, np.column_stack([x[i], y[i]]), np.column_stack([x[j], y[j]]), tol)
-
-
-def _target_amplitude_moduli(g: QuantumGame, p: Play) -> tuple[float, float]:
-    out = outcome(g, p)
-    return abs(out.amplitude(g.prefs.player1_target)), abs(out.amplitude(g.prefs.player2_target))
-
-
-def alternating_best_response(
-    g: QuantumGame, start: Play, max_iters: int = 100, tol: float = TOL.equilibrium
-) -> tuple[Play, bool]:
-    """Alternate exact best responses from the given starting play.
-
-    Each round replaces player one's strategy, then player two's against
-    the update.  Iteration stops early, reporting convergence, when both
-    target amplitude moduli move by less than tol over a round.  A round
-    maps player one's strategy through K = conj(M1) M2^T, whose trace
-    vanishes because the two target rows of a unitary are orthogonal, so
-    on a generic game the moduli repeat with period two and never settle;
-    iteration stops without convergence as soon as that cycle shows.
-    The dynamics need not converge for every game, so the flag is part
-    of the result rather than an error.
-    """
-
-    def close(m, n):
-        return max(abs(m[0] - n[0]), abs(m[1] - n[1])) < tol
-
-    a, b = start.a, start.b
-    moduli = [_target_amplitude_moduli(g, Play(a, b))]
-    converged = False
-    for _ in range(max_iters):
-        a = best_response_strategy(g, 1, b)
-        b = best_response_strategy(g, 2, a)
-        moduli.append(_target_amplitude_moduli(g, Play(a, b)))
-        if close(moduli[-1], moduli[-2]):
-            converged = True
-            break
-        # The starting play is not a best response, so the cycle is only
-        # looked for among the rounds' own results.
-        if len(moduli) > 3 and close(moduli[-1], moduli[-3]):
-            break
-    return Play(a, b), converged
 
 
 def case_inequality_holds(case_id: int, coeffs: ResponseCoefficients, play: Play, deviation: QubitState) -> bool:

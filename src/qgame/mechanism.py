@@ -82,9 +82,9 @@ def _basis_component(s: QubitState, what: str) -> tuple[int, complex]:
     return index, amp / abs(amp)
 
 
-def _column_layout(t: MechanismTarget) -> tuple[int, np.ndarray, int, int]:
-    """Fixed column index, its required values, and the two entries that
-    control unilateral improvement (player one's and player two's)."""
+def _column_layout(t: MechanismTarget) -> tuple[int, int, np.ndarray, int, int, Callable[[float, float], float]]:
+    """Player one's input basis index, the fixed column index and its required values, the two entries
+    that control unilateral improvement (player one's and player two's), and player one's entry's bound."""
     i, phase_a = _basis_component(t.input_play.a, "player one input")
     j, phase_b = _basis_component(t.input_play.b, "player two input")
     k = 2 * i + j
@@ -93,7 +93,7 @@ def _column_layout(t: MechanismTarget) -> tuple[int, np.ndarray, int, int]:
     # basis bit flipped; the opponent's bit is unchanged.
     flip_a = 2 * (1 - i) + j
     flip_b = 2 * i + (1 - j)
-    return k, column, flip_a, flip_b
+    return i, k, column, flip_a, flip_b, _deviation_bound(abs(column[t.prefs.player1_target]), i == 0)
 
 
 def _deviation_bound(known_modulus: float, aligned_is_x: bool) -> Callable[[float, float], float]:
@@ -116,9 +116,8 @@ def derive_constraints(t: MechanismTarget) -> list[EntryConstraint]:
     evaluated moduli; it tightens as the deviation moves away from the
     played basis state.
     """
-    k, column, flip_a, _ = _column_layout(t)
+    i, k, column, flip_a, _, bound = _column_layout(t)
     t1 = t.prefs.player1_target
-    i, _ = _basis_component(t.input_play.a, "player one input")
 
     constraints: list[EntryConstraint] = []
     for row in range(4):
@@ -142,7 +141,7 @@ def derive_constraints(t: MechanismTarget) -> list[EntryConstraint]:
     aligned_name, other_name = ("|x1|", "|y1|") if i == 0 else ("|y1|", "|x1|")
     constraints.append(
         EntryConstraint(
-            t1 + 1, flip_a + 1, "modulus_bound", None, _deviation_bound(known, i == 0),
+            t1 + 1, flip_a + 1, "modulus_bound", None, bound,
             f"|U[{t1 + 1},{flip_a + 1}]| <= {known:.12g} * (1 - {aligned_name}) / {other_name} "
             f"for deviations with {other_name} > 0",
         )
@@ -213,7 +212,7 @@ def synthesize_mechanism(t: MechanismTarget, mode: str, deviation: QubitState | 
     other deviations unchecked.  The construction is deterministic and
     the result always satisfies the unitarity check.
     """
-    k, column, flip_a, flip_b = _column_layout(t)
+    _, k, column, flip_a, flip_b, bound = _column_layout(t)
     t1, t2 = t.prefs.player1_target, t.prefs.player2_target
     if mode == "strict":
         cols: dict[int, np.ndarray] = {k: column.astype(complex)}
@@ -224,11 +223,8 @@ def synthesize_mechanism(t: MechanismTarget, mode: str, deviation: QubitState | 
     if mode == "paper_bound":
         if deviation is None:
             raise ValueError("paper_bound mode requires the deviation the bound is evaluated at")
-        cap = _deviation_bound(abs(column[t1]), _basis_component(t.input_play.a, "player one input")[0] == 0)(
-            abs(deviation.x), abs(deviation.y)
-        )
-        completed = _fill_columns({k: column.astype(complex)})
-        return GameUnitary(_enforce_modulus_cap(completed, t1, flip_a, cap, k))
+        cap = bound(abs(deviation.x), abs(deviation.y))
+        return GameUnitary(_enforce_modulus_cap(_fill_columns({k: column.astype(complex)}), t1, flip_a, cap, k))
     raise ValueError(f"mode must be 'strict' or 'paper_bound', got {mode!r}")
 
 

@@ -47,7 +47,7 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Largest norm^2 drift that apply absorbs by renormalizing instead of raising.
+# Largest norm^2 drift that _apply_rows absorbs by renormalizing instead of raising.
 _APPLY_DRIFT = 1e-9
 
 
@@ -100,11 +100,11 @@ class QubitState:
         return cls(np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]))
 
 
-def _qubit_states(rows: np.ndarray) -> list[QubitState]:
-    """QubitStates holding the rows of an array that _unit_rows returned, without checking them again."""
+def _wrap_rows(cls, rows: np.ndarray) -> list:
+    """States of class cls holding the rows of an array that _unit_rows returned, without checking them again."""
     states = []
     for row in rows:
-        state = object.__new__(QubitState)
+        state = object.__new__(cls)
         object.__setattr__(state, "vec", row)
         states.append(state)
     return states
@@ -164,35 +164,25 @@ class GameUnitary:
 
 def tensor(a: QubitState, b: QubitState) -> TwoQubitState:
     """Joint state of the two players, (a.x b.x, a.x b.y, a.y b.x, a.y b.y)."""
-    return TwoQubitState((a.vec[:, None] * b.vec[None, :]).reshape(4))
+    return _wrap_rows(TwoQubitState, _tensor_rows(a.vec[None], b.vec[None]))[0]
 
 
 def apply(u: GameUnitary, s: TwoQubitState) -> TwoQubitState:
-    """Left-multiply s by u.
-
-    A matrix that only satisfies unitarity to 1e-10 can drift the product
-    norm past the 1e-12 state tolerance; that drift is absorbed by exact
-    renormalization here rather than rejected.
-    """
-    v = u.mat @ s.vec
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1.0) > TOL.state_norm:
-        if abs(norm_sq - 1.0) > _APPLY_DRIFT:
-            raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
-        v = v / np.sqrt(norm_sq)
-    return TwoQubitState(v)
+    """Left-multiply s by u, with _apply_rows' drift rule."""
+    return _wrap_rows(TwoQubitState, _apply_rows(u, s.vec[None]))[0]
 
 
 def _tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Checked (n, 4) rows a[k] (x) b[k] of two (n, 2) strategy arrays, rounded as tensor rounds them."""
+    """Checked (n, 4) rows a[k] (x) b[k] of two (n, 2) strategy arrays."""
     return _unit_rows((a[:, :, None] * b[:, None, :]).reshape(-1, 4), 4, "two-qubit state")
 
 
 def _apply_rows(u: GameUnitary, rows: np.ndarray) -> np.ndarray:
-    """Checked (n, 4) rows u @ rows[k], with apply's drift rule applied to each row.
+    """Checked (n, 4) rows u @ rows[k].
 
-    The stacked matvec u[None] @ rows[:, :, None] rounds each row as u @ row
-    does; a row is renormalized, as in apply, only when its own norm^2 drifts.
+    A matrix that only satisfies unitarity to 1e-10 can drift a product's
+    norm past the 1e-12 state tolerance.  A row whose own norm^2 drifts by
+    at most _APPLY_DRIFT is renormalized exactly, alone; a larger drift raises.
     """
     v = (u.mat[None] @ rows[:, :, None])[:, :, 0]
     for k, norm_sq in enumerate((abs(v) ** 2).sum(axis=1).tolist()):

@@ -14,8 +14,9 @@ bucketed dedup must keep the oracles' representatives, pair indices and
 payoff bits, bit for bit.
 
 scalar_verify_equilibrium is the per-play certification that
-verify_equilibria replaced: one outcome and one pair of numpy-scalar
-coefficient contractions per play.  verify_equilibria must reproduce its
+verify_equilibria replaced: one joint state, built with np.kron and a
+plain matvec by reference_outcome, and the two coefficient contractions
+M1 b and M2^T a written out per play.  verify_equilibria must reproduce its
 certificates bit for bit, and scalar_search_certificates is the search
 recertified that way, with each strategy built from its Bloch angles.
 """
@@ -27,8 +28,8 @@ import struct
 import numpy as np
 
 from qgame import equilibria
-from qgame.game import Play, StrategyParams, outcome, payoff_angle
-from qgame.qcore import TOL, QubitState
+from qgame.game import Play, StrategyParams, payoff_angle
+from qgame.qcore import TOL, NormalizationError, QubitState, TwoQubitState
 
 
 def bloch_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -135,13 +136,31 @@ def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> li
     return accepted
 
 
+def reference_outcome(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """U (a kron b), renormalized when its norm^2 drifts by more than 1e-12 and at most 1e-9.
+
+    The joint state is checked as a TwoQubitState, and a larger drift of
+    the product raises NormalizationError, as qgame.qcore.apply does.
+    """
+    v = u @ TwoQubitState(np.kron(a, b)).vec
+    norm_sq = float(np.sum(np.abs(v) ** 2))
+    if abs(norm_sq - 1.0) > TOL.state_norm:
+        if abs(norm_sq - 1.0) > 1e-9:
+            raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
+        v = v / np.sqrt(norm_sq)
+    return v
+
+
 def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equilibria.EquilibriumCertificate:
-    """Closed-form equilibrium check of one play through the full outcome route."""
-    out = outcome(g, p)
+    """Closed-form equilibrium check of one play, its joint state built by reference_outcome."""
+    out = TwoQubitState(reference_outcome(g.u.mat, p.a.vec, p.b.vec))
     t1, t2 = g.prefs.player1_target, g.prefs.player2_target
     achieved1 = abs(out.amplitude(t1))
     achieved2 = abs(out.amplitude(t2))
-    pair1, pair2 = equilibria._coefficient_pairs(g, p)
+    (x1, y1), (x2, y2) = p.a.vec.tolist(), p.b.vec.tolist()
+    m1, m2 = g.u.mat[t1].tolist(), g.u.mat[t2].tolist()
+    pair1 = (m1[0] * x2 + m1[1] * y2, m1[2] * x2 + m1[3] * y2)  # M1 b
+    pair2 = (m2[0] * x1 + m2[2] * y1, m2[1] * x1 + m2[3] * y1)  # M2^T a
     best1, best2 = equilibria._pair_norm(pair1), equilibria._pair_norm(pair2)
 
     witness = None

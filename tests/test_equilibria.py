@@ -14,6 +14,7 @@ from oracles import (
     grid_max_target_amplitude,
     pole_copies,
     quadratic_dedup,
+    reference_outcome,
     scalar_search_certificates,
     scalar_verify_equilibrium,
 )
@@ -24,7 +25,6 @@ from qgame.equilibria import (
     DegenerateCoefficientError,
     GridSpec,
     ResponseCoefficients,
-    alternating_best_response,
     best_response_strategy,
     best_response_value,
     case_inequality_holds,
@@ -36,6 +36,7 @@ from qgame.equilibria import (
 )
 from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
 from qgame.gates import BELL_CIRCUIT, CNOT, CZ, IDENTITY, LIBRARY, SWAP
+from qgame.mechanism import bell_target, certify_mechanism, synthesize_mechanism
 from qgame.qcore import (
     KET0,
     KET1,
@@ -366,7 +367,7 @@ def scaled_first_column(u: np.ndarray, factor: float) -> GameUnitary:
 
 @pytest.mark.parametrize("drift, renormalized", [(5e-13, False), (6e-11, True), (9e-10, True)])
 def test_drifting_row_is_renormalized_alone(drift, renormalized):
-    """apply renormalizes a norm^2 drift in (TOL.state_norm, 1e-9]; the batch does so per row."""
+    """A norm^2 drift in (TOL.state_norm, 1e-9] is renormalized, in the batch per row, as the reference does."""
     rng = np.random.default_rng(99)
     base = random_unitary(rng).mat
     u = scaled_first_column(base, math.sqrt(1.0 + drift))
@@ -376,9 +377,8 @@ def test_drifting_row_is_renormalized_alone(drift, renormalized):
     a, b = stacked(plays)
     rows = qcore._apply_rows(u, qcore._tensor_rows(a, b))
     for k, play in enumerate(plays):
-        joint = qcore.tensor(play.a, play.b)
-        raw = u.mat @ joint.vec
-        assert rows[k].tobytes() == qcore.apply(u, joint).vec.tobytes()
+        raw = u.mat @ np.kron(play.a.vec, play.b.vec)
+        assert rows[k].tobytes() == reference_outcome(u.mat, play.a.vec, play.b.vec).tobytes()
         changed = rows[k].tobytes() != raw.tobytes()
         assert changed == (renormalized and k == 2)
     assert abs(float(np.sum(np.abs(rows[2]) ** 2)) - 1.0) <= TOL.state_norm
@@ -471,6 +471,35 @@ def test_search_certificates_match_scalar_recertification(tol):
             assert got == [certificate_bits(c) for c in scalar_search_certificates(g, GridSpec(13, 24), tol)], (name, prefs)
             total += len(got)
     assert total > 1000
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3])
+def test_entry_points_reject_a_tol_that_is_not_finite_and_non_negative(tol):
+    """At nan or inf the ground play of CNOT, with its player-two witness, used to certify."""
+    g, ground = QuantumGame(CNOT), Play(KET0, KET0)
+    target = bell_target()
+    mechanism = synthesize_mechanism(target, "strict")
+    calls = [
+        lambda: verify_equilibrium(g, ground, tol),
+        lambda: verify_equilibria(g, *stacked([ground]), tol),
+        lambda: search_equilibria(g, GridSpec(5, 8), tol),
+        lambda: certify_mechanism(mechanism, target, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite and at least 0"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-2])
+def test_entry_points_accept_zero_and_the_capped_tol(tol):
+    g, ground = QuantumGame(CNOT), Play(KET0, KET0)
+    assert not verify_equilibrium(g, ground, tol).is_equilibrium
+    assert verify_equilibrium(g, Play(KET0, KET1), tol).is_equilibrium
+    assert [c.is_equilibrium for c in verify_equilibria(g, *stacked([ground]), tol)] == [False]
+    assert all(c.is_equilibrium for c in search_equilibria(g, GridSpec(5, 8), tol))
+    target = bell_target()
+    result = certify_mechanism(synthesize_mechanism(target, "strict"), target, tol)
+    assert result.certificate.is_equilibrium and result.fidelity >= 1.0 - 1e-12
 
 
 # ------------------------------------------------------------------- search
@@ -744,64 +773,22 @@ def test_grid_spec_validation():
         GridSpec(13, 0)
 
 
-# ------------------------------------------------- alternating best response
+# ----------------------------------------------------------- K = conj(M1) M2^T
 
 
-def test_alternating_best_response_cnot_from_ground():
-    g = QuantumGame(CNOT)
-    play, converged = alternating_best_response(g, Play(KET0, KET0))
-    assert converged
-    cert = verify_equilibrium(g, play)
-    assert cert.is_equilibrium
-    assert abs(play.b.y) == pytest.approx(1.0, abs=1e-12)
+def test_k_is_traceless_and_squares_to_minus_its_determinant():
+    """tr K is the inner product of U's two target rows, so it vanishes; Cayley-Hamilton then gives K^2 = -det K I.
 
-
-def test_alternating_best_response_identity():
-    g = QuantumGame(IDENTITY)
-    play, converged = alternating_best_response(g, Play(KET1, KET0))
-    assert converged
-    assert verify_equilibrium(g, play).is_equilibrium
-
-
-def test_alternating_best_response_iteration_budget():
-    g = QuantumGame(CNOT)
-    _, converged = alternating_best_response(g, Play(KET0, KET0), max_iters=1)
-    assert not converged
-    _, converged = alternating_best_response(g, Play(KET0, KET0), max_iters=2)
-    assert converged
-
-
-def test_alternating_best_response_stops_on_the_two_cycle(monkeypatch):
-    """tr K = 0 on every game, so generic dynamics cycle instead of converging."""
-    calls = []
-    real = equilibria.best_response_strategy
-
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(equilibria, "best_response_strategy", counting)
-    rng = np.random.default_rng(89)
-    for _ in range(20):
-        g = QuantumGame(random_unitary(rng), random_prefs(rng))
-        calls.clear()
-        play, converged = alternating_best_response(
-            g, Play(random_qubit_state(rng), random_qubit_state(rng))
-        )
-        assert converged is False
-        assert not verify_equilibrium(g, play).is_equilibrium
-        assert len(calls) <= 8  # a few rounds, not the 100-round budget
-
-
-def test_alternating_best_response_random_games_stay_normalized():
-    rng = np.random.default_rng(71)
-    for _ in range(20):
-        g = QuantumGame(random_unitary(rng), random_prefs(rng))
-        play, _ = alternating_best_response(
-            g, Play(random_qubit_state(rng), random_qubit_state(rng))
-        )
-        assert abs(np.linalg.norm(play.a.vec) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(play.b.vec) - 1.0) < 1e-12
+    So K's eigenvalues are +-lambda, which the two K-eigenvector equilibria rest on.
+    """
+    rng = np.random.default_rng(113)
+    unitaries = [entry.unitary for entry in LIBRARY.values()] + [random_unitary(rng) for _ in range(50)]
+    for u in unitaries:
+        for prefs in ALL_PREFS:
+            m1, m2 = equilibria._target_matrices(QuantumGame(u, PreferenceProfile(*prefs)))
+            k = np.conj(m1) @ m2.T
+            assert abs(np.trace(k)) <= 1e-12
+            assert np.max(np.abs(k @ k + np.linalg.det(k) * np.eye(2))) <= 1e-12
 
 
 # ------------------------------------------------------- case inequalities
