@@ -24,7 +24,7 @@ import numbers
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,13 +42,9 @@ from .equilibria import (
 from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoff_angle
 from .gates import LIBRARY, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file, save_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
-from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState
+from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState, _is_int
 
 CONFIG_ENV_VAR = "QGAME_CONFIG"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -378,12 +374,7 @@ def cmd_analyze(args) -> int:
                     "play": f"(|{i}>, |{j}>)",
                     "payoffs": [_round_angle(payoff_angle(out, t1)), _round_angle(payoff_angle(out, t2))],
                     "achieved": [abs(out.amplitude(t1)), abs(out.amplitude(t2))],
-                    "coefficients": {
-                        "p": coeffs.p,
-                        "q": coeffs.q,
-                        "p_prime": coeffs.p_prime,
-                        "q_prime": coeffs.q_prime,
-                    },
+                    "coefficients": asdict(coeffs),
                 }
             )
 
@@ -475,7 +466,7 @@ def cmd_region(args) -> int:
         "gate": name,
         "case_pair": list(pair),
         "deviation": _state_pairs(deviation),
-        "coefficients": {"p": coeffs.p, "q": coeffs.q, "p_prime": coeffs.p_prime, "q_prime": coeffs.q_prime},
+        "coefficients": asdict(coeffs),
         "players": players,
     }
     _emit_json(report, args.out)

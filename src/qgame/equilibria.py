@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import Play, QuantumGame, _modulus_payoff
-from .qcore import KET0, TOL, QGameError, QubitState, _apply_rows, _tensor_rows, _unit_rows, _wrap_rows
+from .qcore import KET0, TOL, QGameError, QubitState, _apply_rows, _is_int, _tensor_rows, _unit_rows, _wrap_rows
 
 
 class DegenerateCoefficientError(QGameError):
@@ -85,8 +85,8 @@ class GridSpec:
     phi_points: int = 120
 
     def __post_init__(self):
-        if self.theta_points < 2 or self.phi_points < 2:
-            raise ValueError("grid needs at least 2 points per angle")
+        if not all(_is_int(n) and n >= 2 for n in (self.theta_points, self.phi_points)):
+            raise ValueError(f"grid needs an integer >= 2 points per angle, got {self.theta_points!r}, {self.phi_points!r}")
 
 
 @dataclass(frozen=True)
@@ -260,15 +260,10 @@ def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return thetas, phis, x, y
 
 
-# Rounding guards of the best-response windows (_window_pairs).  Over 55 M passing
-# pairs of library and Haar games, at tol from 0 to 1 and at tols that put pairs
-# exactly on a pass threshold, an achieved modulus exceeded its row bound by at most
-# 3.3e-16 and its squared closed form by 8.9e-16, and lay outside the unguarded
-# window by at most 6.1e-16 rad in theta/2 and 2.6e-8 rad in phi.
-_REACH_GUARD = 1e-12  # the windows are cut at best - tol - _REACH_GUARD
-_THETA_GUARD = 1e-9  # rad, added to each theta/2 half-width
-_PHI_GUARD = 1e-6  # rad, added to each phi half-width
-_FULL_ROW = 1e-6  # a row whose phi term 2csAB is below this times best^2 is scanned whole
+# Rounding guard of every best-response cap's half-angle, in spinor angle.  It widens
+# cos^2 half by about _CAP_GUARD sin(2 half), and by _CAP_GUARD^2 = 1e-14 at tol 0, far
+# over the ~1e-16 rounding of |<w|x>|^2; at 0, pairs on a pass threshold are lost.
+_CAP_GUARD = 1e-7
 
 
 def _payoff(achieved_sq: np.ndarray) -> np.ndarray:
@@ -281,68 +276,65 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return span, np.arange(span.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _theta_windows(a, b, best, tol: float, theta_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """First theta-row and row count of each opponent's best-response window.
+def _cap(a, b, best, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centre (beta, a conj(b)) and half-angle of each deviator's strategies within tol of best.
 
-    A deviator with coefficient pair (a, b) reaches cos(t/2)|a| + sin(t/2)|b|
-    = best cos(t/2 - beta) at most on theta-row t, beta = atan2(|b|, |a|),
-    so the rows where it can come within tol of best form one interval of
-    t/2 around beta.
+    A deviator with coefficient pair (a, b) reaches best |<w|x>| at x, where the best response
+    w = conj(a, b) / best lies at theta/2 = beta = atan2(|b|, |a|) and phi* = arg(a conj(b)),
+    an angle callers take only where they need it.  So those strategies form one cap
+    |<w|x>| >= cos(half), half = arccos((best - tol) / best) in spinor angle, pi/2 (the
+    whole sphere) when best is 0, plus _CAP_GUARD.
     """
-    step = math.pi / (2 * (theta_points - 1))  # theta/2 between rows
-    reach = np.maximum(best - tol - _REACH_GUARD, 0.0)
-    half = np.arccos(np.divide(reach, best, out=np.zeros_like(best), where=best > 0)) + _THETA_GUARD
-    beta = np.arctan2(np.abs(b), np.abs(a))
-    first = np.maximum(np.ceil((beta - half) / step), 0).astype(np.int64)
-    last = np.minimum(np.floor((beta + half) / step), theta_points - 1).astype(np.int64)
-    return first, last - first + 1
+    reach = np.divide(np.maximum(best - tol, 0.0), best, out=np.zeros_like(best), where=best > 0)
+    return np.arctan2(np.abs(b), np.abs(a)), a * np.conj(b), np.arccos(reach) + _CAP_GUARD
 
 
-def _window_pairs(
-    thetas: np.ndarray, per_row: int, strategies: np.ndarray, player1, player2, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) of grid strategies that the best-response windows leave to check.
+def _window_pairs(thetas: np.ndarray, per_row: int, strategies: np.ndarray, cap1, cap2) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of grid strategies that the best-response caps leave to check.
 
-    player1 and player2 are each player's (a, b, best) against every grid
-    strategy.  i ranges over player one's window against j: its theta-rows
-    (_theta_windows), cut to the rows on which some i has j's row in player
-    two's theta-window, and on each non-pole row one circular phi-window.
-    There, with c = cos(theta/2), s = sin(theta/2) and moduli A = |a|,
-    B = |b|, the achieved modulus squared is c^2 A^2 + s^2 B^2 +
-    2csAB cos(phi - phi*), phi* = arg a - arg b.  A row whose 2csAB is too
-    small to place the window is taken whole.
+    cap1 and cap2 are each player's _cap against every strategy in
+    strategies.  i ranges over the rows of player one's cap against j,
+    |theta/2 - beta| <= half, cut to the rows on which some i has j's row in
+    player two's cap, and on each non-pole row over the cap's phi-chord.
+    There, with c = cos(theta/2), s = sin(theta/2), |<w|x>|^2 = c^2 cos^2 beta
+    + s^2 sin^2 beta + 2cs cos(beta) sin(beta) cos(phi - phi*).  A row whose
+    phi term is 0, or in a cap of half past pi/2, is taken whole.
     """
-    (a1, b1, best1), (a2, b2, best2) = player1, player2
     row = strategies // per_row
 
-    # reached[k, k2]: some i on row k has row k2 in player two's theta-window.
-    first, count = _theta_windows(a2[strategies], b2[strategies], best2[strategies], tol, thetas.size)
+    def rows(beta, half):  # first row and row count of each cap
+        step = math.pi / (2 * (thetas.size - 1))  # theta/2 between rows
+        first = np.maximum(np.ceil((beta - half) / step), 0).astype(np.int64)
+        return first, np.minimum(np.floor((beta + half) / step), thetas.size - 1).astype(np.int64) - first + 1
+
+    # reached[k, k2]: some i on row k has row k2 in player two's cap.
+    first, count = rows(cap2[0], cap2[2])
     on = count > 0
     edges = np.zeros((thetas.size, thetas.size + 1), np.int64)
     np.add.at(edges, (row[on], first[on]), 1)
     np.add.at(edges, (row[on], first[on] + count[on]), -1)
     reached = np.cumsum(edges[:, :-1], axis=1) > 0
 
-    # Each (row k of i, j) in player one's theta-window of j, where player two's windows reach.
-    span, k = _spans(*_theta_windows(a1[strategies], b1[strategies], best1[strategies], tol, thetas.size))
+    # Each (row k of i, j) in player one's cap of j, where player two's caps reach.
+    span, k = _spans(*rows(cap1[0], cap1[2]))
     keep = reached[k, row[span]]
-    j, k = strategies[span[keep]], k[keep]
+    span, k = span[keep], k[keep]
+    j, (beta, phase, half) = strategies[span], (v[span] for v in cap1)
 
-    c, s = np.cos(thetas / 2.0)[k], np.sin(thetas / 2.0)[k]
-    big_a, big_b, best = np.abs(a1[j]), np.abs(b1[j]), best1[j]
-    reach = best - tol - _REACH_GUARD
-    cross = 2.0 * c * s * big_a * big_b
-    whole = (reach <= 0) | (cross <= _FULL_ROW * best**2)
-    cos_half = np.divide(reach**2 - (c * big_a) ** 2 - (s * big_b) ** 2, cross, out=np.full_like(best, -1.0), where=~whole)
-    half = np.arccos(np.clip(cos_half, -1.0, 1.0)) + _PHI_GUARD  # a half-width over pi takes the whole row
-    centre = np.angle(a1[j]) - np.angle(b1[j])
+    c, s, cos_beta, sin_beta = np.cos(thetas / 2.0)[k], np.sin(thetas / 2.0)[k], np.cos(beta), np.sin(beta)
+    cross = 2.0 * c * s * cos_beta * sin_beta
+    chord = np.cos(half) ** 2 - (c * cos_beta) ** 2 - (s * sin_beta) ** 2
+    whole = (half >= math.pi / 2) | (cross == 0)  # the cap is the sphere, or phi does not move |<w|x>|
+    cos_width = np.divide(chord, cross, out=np.full_like(cross, -1.0), where=~whole)
+    width = np.where(cos_width > -1.0, np.arccos(np.clip(cos_width, -1.0, 1.0)), 2.0 * math.pi)  # 2 pi: the whole row
     step = 2.0 * math.pi / per_row
-    first = np.ceil((centre - half) / step).astype(np.int64)
-    count = np.minimum(np.floor((centre + half) / step).astype(np.int64) - first + 1, per_row)
+    centre = np.angle(phase)
+    first = np.ceil((centre - width) / step).astype(np.int64)
+    count = np.minimum(np.floor((centre + width) / step).astype(np.int64) - first + 1, per_row)
     pole = (k == 0) | (k == thetas.size - 1)  # a pole is its phi = 0 point alone
     first[pole], count[pole] = 0, 1
-    span, col = _spans(first, count)
-    return k[span] * per_row + col % per_row, j[span]
+    pair, col = _spans(first, count)
+    return k[pair] * per_row + col % per_row, j[pair]
 
 
 def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,7 +353,8 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     best1, best2 = np.hypot(np.abs(a1), np.abs(b1)), np.hypot(np.abs(a2), np.abs(b2))
 
     strategies = np.r_[0, per_row : n - per_row + 1]
-    i, j = _window_pairs(thetas, per_row, strategies, (a1, b1, best1), (a2, b2, best2), tol)
+    caps = (_cap(a[strategies], b[strategies], best[strategies], tol) for a, b, best in ((a1, b1, best1), (a2, b2, best2)))
+    i, j = _window_pairs(thetas, per_row, strategies, *caps)
     achieved1 = np.abs(x[i] * a1[j] + y[i] * b1[j])
     achieved2 = np.abs(a2[i] * x[j] + b2[i] * y[j])
     ok = (achieved1 >= best1[j] - tol) & (achieved2 >= best2[i] - tol)
@@ -371,7 +364,12 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
 
 
 def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:
-    """Indices of the payoff pairs kept when no earlier kept pair lies within Chebyshev distance step."""
+    """Indices of the payoff pairs kept, in order.
+
+    Only the first pair of each cell round(payoff / step) is a candidate; the
+    cell's later pairs are dropped with it.  A candidate is kept when no
+    earlier kept pair lies within Chebyshev distance step.
+    """
     # Payoffs live in [0, pi/2], so the rounded cells fit well inside 21 bits.
     cell1 = np.round(payoff1 / step).astype(np.int64)
     cell2 = np.round(payoff2 / step).astype(np.int64)
@@ -398,9 +396,10 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
     (see GridSpec).  A pair is a candidate when both closed-form deviation
     checks pass at slack tol; the checks run only inside each opponent's
     best-response windows (see _candidate_pairs).  Candidates are
-    de-duplicated by payoff proximity, first in grid order winning, in
-    rounded payoff-cell buckets, exactly as if every pair were tested;
-    survivors are re-certified in one verify_equilibria call.  The
+    de-duplicated by payoff proximity (_dedup_payoffs): the first candidate
+    of each rounded payoff cell, in grid order, is kept unless an earlier
+    kept one lies within TOL.payoff_dedup, and the cell's later candidates
+    are dropped.  Survivors are re-certified in one verify_equilibria call.  The
     certificates' values come from that call's per-row scalar rounding, not
     from the grid's array rounding, so at the margin a certificate can
     disagree with the check that kept its play.

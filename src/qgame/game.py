@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .qcore import GameUnitary, QubitState, TwoQubitState, apply, tensor
+from .qcore import GameUnitary, QubitState, TwoQubitState, _is_int, apply, tensor
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class PreferenceProfile:
 
     def __post_init__(self):
         for name, t in (("player1_target", self.player1_target), ("player2_target", self.player2_target)):
-            if not isinstance(t, int) or not 0 <= t <= 3:
+            if not (_is_int(t) and 0 <= t <= 3):
                 raise ValueError(f"{name} must be an integer in 0..3, got {t!r}")
         if self.player1_target == self.player2_target:
             raise ValueError("players must prefer distinct basis outcomes")

@@ -233,7 +233,8 @@ def certify_mechanism(u: GameUnitary, t: MechanismTarget, tol: float = TOL.equil
 
     fidelity is |<target, outcome>|^2 at the input play; the certificate
     is the closed-form equilibrium check of the same play.  Certified
-    requires both fidelity >= 1 - tol and the equilibrium to hold: a
+    requires both fidelity >= 1 - tol, less the state-norm rounding slack
+    TOL.state_norm, and the equilibrium to hold: a
     unitary can reach the target perfectly while still leaving a player
     a profitable deviation, and that discrepancy is reported, not hidden.
     """
@@ -244,7 +245,7 @@ def certify_mechanism(u: GameUnitary, t: MechanismTarget, tol: float = TOL.equil
     return MechanismCertification(
         fidelity=fidelity,
         certificate=certificate,
-        certified=fidelity >= 1.0 - tol and certificate.is_equilibrium,
+        certified=fidelity >= 1.0 - tol - TOL.state_norm and certificate.is_equilibrium,
     )
 
 

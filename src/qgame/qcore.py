@@ -8,6 +8,7 @@ ordering, applied on the left of column vectors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ TOL = Tolerances()
 
 # Largest norm^2 drift that _apply_rows absorbs by renormalizing instead of raising.
 _APPLY_DRIFT = 1e-9
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _unit_rows(values, size: int, what: str) -> np.ndarray:
@@ -178,7 +183,7 @@ def _tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _apply_rows(u: GameUnitary, rows: np.ndarray) -> np.ndarray:
-    """Checked (n, 4) rows u @ rows[k].
+    """Checked, read-only (n, 4) rows u @ rows[k].
 
     A matrix that only satisfies unitarity to 1e-10 can drift a product's
     norm past the 1e-12 state tolerance.  A row whose own norm^2 drifts by
@@ -190,7 +195,10 @@ def _apply_rows(u: GameUnitary, rows: np.ndarray) -> np.ndarray:
             if abs(norm_sq - 1.0) > _APPLY_DRIFT:
                 raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
             v[k] = v[k] / np.sqrt(norm_sq)
-    return _unit_rows(v, 4, "two-qubit state")
+    if not np.isfinite(v).all():  # a NaN row passes the drift checks
+        raise NormalizationError("two-qubit state contains non-finite amplitudes")
+    v.setflags(write=False)
+    return v
 
 
 def _project_out(v: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:

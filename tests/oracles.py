@@ -8,10 +8,10 @@ code.
 
 dense_candidate_pairs and quadratic_dedup are the plain forms of the
 equilibrium search's two phases: every pair of grid strategies is
-tested, and every payoff pair is compared with every kept one.  The
-library's pruned scan must return the same passing pairs, and its
-bucketed dedup must keep the oracles' representatives, pair indices and
-payoff bits, bit for bit.
+tested, and the first payoff pair of each rounded cell is compared with
+every kept one.  The library's pruned scan must return the same passing
+pairs, and its bucketed dedup must keep the oracles' representatives,
+pair indices and payoff bits, bit for bit.
 
 scalar_verify_equilibrium is the per-play certification that
 verify_equilibria replaced: one joint state, built with np.kron and a
@@ -122,7 +122,7 @@ def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:
-    """First-in-order payoff de-duplication, each pair compared with every kept pair."""
+    """First-in-order payoff de-duplication: each cell's first pair is compared with every kept pair, the rest dropped."""
     key = (np.round(payoff1 / step).astype(np.int64) << 21) | np.round(payoff2 / step).astype(np.int64)
     _, first = np.unique(key, return_index=True)
     accepted: list[int] = []

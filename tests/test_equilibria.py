@@ -403,6 +403,23 @@ def test_row_drifting_past_the_limit_raises_as_apply_does():
         verify_equilibrium(g, plays[-1])
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (math.nan, 1.0, "two-qubit state contains non-finite amplitudes"),
+        (1e200, 1.0, "applying unitary produced norm^2 = inf"),
+        (math.nan, 1.25, "applying unitary produced norm^2 = 1.5625"),
+        (1.5, 1.25, "applying unitary produced norm^2 = 2.25"),
+    ],
+)
+def test_non_finite_and_drifting_rows_raise_in_row_order(first, second, message):
+    """The first row past the drift limit names its norm^2; a NaN row, which passes that check, raises after."""
+    rows = np.diag([first, second, 1.0, 1.0]).astype(complex)[:3]
+    with pytest.raises(NormalizationError) as raised, np.errstate(over="ignore"):
+        qcore._apply_rows(GameUnitary(np.eye(4)), rows)
+    assert str(raised.value) == message
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -500,6 +517,7 @@ def test_entry_points_accept_zero_and_the_capped_tol(tol):
     target = bell_target()
     result = certify_mechanism(synthesize_mechanism(target, "strict"), target, tol)
     assert result.certificate.is_equilibrium and result.fidelity >= 1.0 - 1e-12
+    assert result.certified  # its fidelity is 0.9999999999999996, so tol 0 needs the rounding slack
 
 
 # ------------------------------------------------------------------- search
@@ -652,7 +670,7 @@ def threshold_cases(poles_only=False):
 
 
 def test_windows_keep_pairs_on_the_pass_threshold():
-    """At a tol that puts grid pairs exactly on a pass threshold, the windows' rounding guards keep them."""
+    """At a tol that puts grid pairs exactly on a pass threshold, the cap's rounding guard keeps them."""
     for g, grid, tol in threshold_cases():
         assert window_misses(*scans(g, grid, tol)) == 0
 
@@ -686,21 +704,29 @@ def test_all_pole_grid_finds_the_passing_basis_plays(phi_points):
     assert found > len(games)
 
 
-@pytest.mark.parametrize("guards", [("_REACH_GUARD", "_THETA_GUARD"), ("_REACH_GUARD", "_PHI_GUARD")])
+@pytest.mark.parametrize("guards", [(False, True), (True, False)])
 def test_threshold_pairs_are_lost_without_a_windows_guards(monkeypatch, guards):
-    """With either window's two rounding guards at zero, the threshold cases above lose a passing pair."""
-    for name in guards:
-        monkeypatch.setattr(equilibria, name, 0.0)
+    """With either player's cap unguarded, the threshold cases above lose a passing pair.
+
+    guards[p] says whether player p + 1's cap keeps _CAP_GUARD on its half-angle.
+    """
+    guard, window_pairs = equilibria._CAP_GUARD, equilibria._window_pairs
+
+    def one_guarded(thetas, per_row, strategies, *caps):
+        caps = [(beta, phase, half + guard) if kept else (beta, phase, half) for kept, (beta, phase, half) in zip(guards, caps)]
+        return window_pairs(thetas, per_row, strategies, *caps)
+
+    monkeypatch.setattr(equilibria, "_CAP_GUARD", 0.0)
+    monkeypatch.setattr(equilibria, "_window_pairs", one_guarded)
     if not any(window_misses(*scans(g, grid, tol)) for g, grid, tol in threshold_cases()):
-        pytest.fail("every threshold pair was kept without the guards")
+        pytest.fail("every threshold pair was kept with one cap unguarded")
 
 
 def test_pole_threshold_pairs_are_lost_without_the_theta_guards(monkeypatch):
-    """With the theta-window's two guards at zero, the pole threshold cases lose a passing pair."""
-    for name in ("_REACH_GUARD", "_THETA_GUARD"):
-        monkeypatch.setattr(equilibria, name, 0.0)
+    """With _CAP_GUARD, which widens each cap's theta span, at zero, the pole threshold cases lose a passing pair."""
+    monkeypatch.setattr(equilibria, "_CAP_GUARD", 0.0)
     if not any(window_misses(*scans(g, grid, tol)) for g, grid, tol in threshold_cases(poles_only=True)):
-        pytest.fail("every pole threshold pair was kept without the guards")
+        pytest.fail("every pole threshold pair was kept without the guard")
 
 
 def test_library_scans_evaluate_few_pairs(monkeypatch):
@@ -750,11 +776,14 @@ def test_bucketed_dedup_matches_quadratic_oracle_at_edges():
         (halves, halves[::-1].copy()),
         (exact1, exact2),
         (cluster[:, 0], cluster[:, 1]),
+        # The third pair shares the second's cell, so it is dropped unseen, though it lies over step from the first.
+        (np.array([0.4, 1.3, 1.45]) * step, np.zeros(3)),
     ]
     for p1, p2 in cases:
         for order in (np.arange(p1.size), rng.permutation(p1.size)):
             a, b = p1[order], p2[order]
             assert equilibria._dedup_payoffs(a, b, step) == quadratic_dedup(a, b, step)
+    assert equilibria._dedup_payoffs(*cases[-1], step) == [0]
 
 
 def test_bucketed_dedup_merges_across_two_cells():
@@ -767,10 +796,10 @@ def test_bucketed_dedup_merges_across_two_cells():
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(1, 24)
-    with pytest.raises(ValueError):
-        GridSpec(13, 0)
+    for theta_points, phi_points in ((1, 24), (13, 0), (2.5, 3), (13, 24.0), (True, 3), (13, None)):
+        with pytest.raises(ValueError, match="grid needs an integer >= 2 points per angle"):
+            GridSpec(theta_points, phi_points)
+    assert GridSpec(np.int64(13), 24).theta_points == 13
 
 
 # ----------------------------------------------------------- K = conj(M1) M2^T

@@ -31,6 +31,13 @@ def test_preference_profile_defaults_and_validation():
         PreferenceProfile(0, 4)
 
 
+@pytest.mark.parametrize("targets", [(True, 3), (0, False), (1.0, 3), (0, 2.5), ("1", 3)])
+def test_preference_profile_rejects_bools_and_non_integers(targets):
+    """A bool target used to index U's rows as a mask, and the search then died in a reshape."""
+    with pytest.raises(ValueError, match="must be an integer in 0..3"):
+        PreferenceProfile(*targets)
+
+
 def test_strategy_params_to_state_matches_bloch():
     sp = StrategyParams(math.pi / 2, math.pi)
     assert np.allclose(sp.to_state().vec, [S2, -S2], atol=1e-15)
