@@ -55,7 +55,7 @@ def _is_real(value) -> bool:
 class RunConfig:
     """Run-wide knobs shared by the commands."""
 
-    tolerance: float = 1e-9
+    tolerance: float = TOL.equilibrium
     grid_theta: int = 61
     grid_phi: int = 120
     prefs: PreferenceProfile = field(default_factory=PreferenceProfile)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Play, QuantumGame, _modulus_payoff
-from .qcore import KET0, TOL, QGameError, QubitState, _apply_rows, _is_int, _tensor_rows, _unit_rows, _wrap_rows
+from .game import Play, QuantumGame, _contract, _modulus_payoff, _play_contraction, _target_matrices
+from .qcore import KET0, TOL, QGameError, QubitState, _is_int, _unit_rows, _wrap_rows
 
 
 class DegenerateCoefficientError(QGameError):
@@ -55,10 +55,10 @@ class ResponseCoefficients:
 class EquilibriumCertificate:
     """Outcome of a closed-form equilibrium check at one play.
 
-    best1/best2 are the optimal achievable amplitude moduli against the
-    fixed opponent; achieved1/achieved2 are the moduli at the play
-    itself.  When the play is not an equilibrium, witness holds the
-    deviating strategy of the first player who can improve.
+    best1/best2 are the norms of M1 b and M2^T a, the best moduli against
+    the fixed opponent; achieved1/achieved2 are |a^T M1 b| and |a^T M2 b|,
+    read from the same pairs.  When the play is not an equilibrium, witness
+    holds the deviating strategy of the first player who can improve.
     """
 
     play: Play
@@ -110,36 +110,13 @@ class RegionSpec:
     swapped: bool
 
 
-def _target_matrices(g: QuantumGame) -> tuple[np.ndarray, np.ndarray]:
-    """M1 and M2: each player's target row of U reshaped to 2x2, so their amplitude is a^T M b."""
-    u = g.u.mat
-    return u[g.prefs.player1_target].reshape(2, 2), u[g.prefs.player2_target].reshape(2, 2)
-
-
-def _contract(m, x, y):
-    """m @ (x, y) for a 2x2 m, written out for scalars and grid arrays alike.
-
-    m may be an array or nested lists.  Scalars and arrays do not round
-    alike: numpy's array complex multiply differs in the last ulp from the
-    scalar product in about half of random cases, so a grid check can
-    disagree at the margin with the certificate of the same play.
-    """
-    return m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
-
-
-def _coefficient_pair(m: np.ndarray, opponent: QubitState) -> tuple[complex, complex]:
-    """Pair (a, b) making the deviator's target amplitude a*x + b*y; m is M1 for player one, M2^T for two."""
-    a, b = _contract(m, opponent.x, opponent.y)
-    return complex(a), complex(b)
-
-
-def _player_matrix(g: QuantumGame, player: int) -> np.ndarray:
+def _coefficient_pair(g: QuantumGame, player: int, opponent: QubitState) -> tuple[complex, complex]:
+    """Pair (a, b) making the deviator's target amplitude a*x + b*y: M1 b for player one, M2^T a for two."""
     m1, m2 = _target_matrices(g)
-    if player == 1:
-        return m1
-    if player == 2:
-        return m2.T
-    raise ValueError(f"player must be 1 or 2, got {player!r}")
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    a, b = _contract(m1 if player == 1 else m2.T, opponent.x, opponent.y)
+    return complex(a), complex(b)
 
 
 def _pair_norm(pair: tuple[complex, complex]) -> float:
@@ -156,8 +133,7 @@ def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
 
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
     """Coefficient moduli (p, q, p', q') at the given play: of player one's pair M1 b and player two's M2^T a."""
-    m1, m2 = _target_matrices(g)
-    (a1, b1), (a2, b2) = _coefficient_pair(m1, p.b), _coefficient_pair(m2.T, p.a)
+    (a1, b1), (a2, b2) = _coefficient_pair(g, 1, p.b), _coefficient_pair(g, 2, p.a)
     return ResponseCoefficients(abs(a1), abs(b1), abs(a2), abs(b2))
 
 
@@ -167,12 +143,12 @@ def best_response_value(g: QuantumGame, player: int, opponent: QubitState) -> fl
     Cauchy-Schwarz on a*x + b*y over normalized (x, y) gives exactly
     sqrt(|a|^2 + |b|^2), so this is the true optimum, not a bound.
     """
-    return _pair_norm(_coefficient_pair(_player_matrix(g, player), opponent))
+    return _pair_norm(_coefficient_pair(g, player, opponent))
 
 
 def best_response_strategy(g: QuantumGame, player: int, opponent: QubitState) -> QubitState:
     """A strategy attaining best_response_value; |0> when every strategy ties."""
-    return _best_strategy(_coefficient_pair(_player_matrix(g, player), opponent))
+    return _best_strategy(_coefficient_pair(g, player, opponent))
 
 
 def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) -> EquilibriumCertificate:
@@ -191,8 +167,8 @@ def verify_equilibria(g: QuantumGame, a, b, tol: float = TOL.equilibrium) -> lis
     """verify_equilibrium for the plays (a[k], b[k]) of two (n, 2) strategy arrays, in one pass.
 
     Each row must be a valid QubitState vector; an invalid row raises
-    NormalizationError as QubitState would.  Every certificate equals
-    verify_equilibrium's for the same play, bit for bit.
+    NormalizationError as QubitState would.  No joint state is formed, and
+    every certificate equals verify_equilibrium's for the play, bit for bit.
     """
     a, b = _unit_rows(a, 2, "qubit state"), _unit_rows(b, 2, "qubit state")
     if a.shape != b.shape:
@@ -208,21 +184,19 @@ def _check_tol(tol: float) -> None:
 def _certify(g: QuantumGame, a: np.ndarray, b: np.ndarray, plays: list[Play], tol: float) -> list[EquilibriumCertificate]:
     """Certificates of the plays whose checked strategy rows are a and b.
 
-    The joint states are built and mapped through U for all rows at once,
-    as tensor and apply do for one.  Everything after that is
-    per-row Python complex and float arithmetic, which rounds as the numpy
-    scalars of a single play do; numpy's array abs, hypot and complex
-    multiply do not.
+    Each play's achieved and best moduli come from one contraction,
+    _play_contraction, so no joint state is formed: achieved1 = |a^T M1 b|
+    is a's contraction with the pair M1 b whose norm is best1.  It is
+    per-row Python complex and float arithmetic, which rounds as the
+    numpy scalars of a single play do; numpy's array abs, hypot and
+    complex multiply do not.
     """
     _check_tol(tol)
-    out = _apply_rows(g.u, _tensor_rows(a, b))
-    t1, t2 = g.prefs.player1_target, g.prefs.player2_target
     m1, m2 = _target_matrices(g)
     m1, m2t = m1.tolist(), m2.T.tolist()
     certificates = []
-    for play, (ax, ay), (bx, by), amplitudes in zip(plays, a.tolist(), b.tolist(), out.tolist()):
-        achieved1, achieved2 = abs(amplitudes[t1]), abs(amplitudes[t2])
-        pair1, pair2 = _contract(m1, bx, by), _contract(m2t, ax, ay)
+    for play, a_row, b_row in zip(plays, a.tolist(), b.tolist()):
+        pair1, pair2, achieved1, achieved2 = _play_contraction(m1, m2t, a_row, b_row)
         best1, best2 = _pair_norm(pair1), _pair_norm(pair2)
 
         witness = None

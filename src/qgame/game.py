@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .qcore import GameUnitary, QubitState, TwoQubitState, _is_int, apply, tensor
 
 
@@ -92,10 +94,35 @@ def _modulus_payoff(modulus: float) -> float:
     return math.acos(min(1.0, max(0.0, modulus**2)))
 
 
+def _target_matrices(g: QuantumGame) -> tuple[np.ndarray, np.ndarray]:
+    """M1 and M2: each player's target row of U reshaped to 2x2, so their amplitude is a^T M b."""
+    u = g.u.mat
+    return u[g.prefs.player1_target].reshape(2, 2), u[g.prefs.player2_target].reshape(2, 2)
+
+
+def _contract(m, x, y):
+    """m @ (x, y) for a 2x2 m, written out for scalars and grid arrays alike.
+
+    m may be an array or nested lists.  Scalars and arrays do not round
+    alike: numpy's array complex multiply differs in the last ulp from the
+    scalar product in about half of random cases, so a grid check can
+    disagree at the margin with the certificate of the same play.
+    """
+    return m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
+
+
+def _play_contraction(m1: list, m2t: list, a: list, b: list) -> tuple:
+    """Pairs M1 b and M2^T a of the play (a, b), and the target amplitude moduli |a^T M1 b| and |a^T M2 b| they give.
+
+    Every argument is a list of Python complex, so a play rounds alike wherever it is read.
+    """
+    (ax, ay), (bx, by) = a, b
+    pair1, pair2 = _contract(m1, bx, by), _contract(m2t, ax, ay)
+    return pair1, pair2, abs(ax * pair1[0] + ay * pair1[1]), abs(bx * pair2[0] + by * pair2[1])
+
+
 def payoffs(g: QuantumGame, p: Play) -> tuple[float, float]:
-    """Both players' payoff angles at the given play."""
-    out = outcome(g, p)
-    return (
-        payoff_angle(out, g.prefs.player1_target),
-        payoff_angle(out, g.prefs.player2_target),
-    )
+    """Both players' payoff angles at the given play, from _play_contraction as its certificate's are."""
+    m1, m2 = _target_matrices(g)
+    *_, achieved1, achieved2 = _play_contraction(m1.tolist(), m2.T.tolist(), p.a.vec.tolist(), p.b.vec.tolist())
+    return _modulus_payoff(achieved1), _modulus_payoff(achieved2)

@@ -122,20 +122,13 @@ def derive_constraints(t: MechanismTarget) -> list[EntryConstraint]:
     constraints: list[EntryConstraint] = []
     for row in range(4):
         value = complex(column[row])
-        if abs(value) <= 1e-12:
-            constraints.append(
-                EntryConstraint(
-                    row + 1, k + 1, "equals_zero", 0j, None,
-                    f"U[{row + 1},{k + 1}] = 0, fixed by the required output column",
-                )
+        zero = abs(value) <= 1e-12
+        constraints.append(
+            EntryConstraint(
+                row + 1, k + 1, "equals_zero" if zero else "equals_value", 0j if zero else value, None,
+                f"U[{row + 1},{k + 1}] = {'0' if zero else format(value, '.12g')}, fixed by the required output column",
             )
-        else:
-            constraints.append(
-                EntryConstraint(
-                    row + 1, k + 1, "equals_value", value, None,
-                    f"U[{row + 1},{k + 1}] = {value:.12g}, fixed by the required output column",
-                )
-            )
+        )
 
     known = abs(column[t1])
     aligned_name, other_name = ("|x1|", "|y1|") if i == 0 else ("|y1|", "|x1|")

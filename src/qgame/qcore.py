@@ -3,7 +3,8 @@
 Convention used everywhere in this package: two-qubit amplitudes are
 ordered |00>, |01>, |10>, |11>.  The first qubit belongs to player one,
 the second to player two.  Gate matrices are 4x4 complex in the same
-ordering, applied on the left of column vectors.
+ordering, applied on the left of column vectors.  Only tensor and apply
+form joint states, and both pass them through one check, _joint_state.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Largest norm^2 drift that _apply_rows absorbs by renormalizing instead of raising.
+# Largest norm^2 drift that _joint_state absorbs by renormalizing instead of raising.
 _APPLY_DRIFT = 1e-9
 
 
@@ -106,7 +107,7 @@ class QubitState:
 
 
 def _wrap_rows(cls, rows: np.ndarray) -> list:
-    """States of class cls holding the rows of an array that _unit_rows returned, without checking them again."""
+    """States of class cls holding the rows of a checked, read-only array, without checking them again."""
     states = []
     for row in rows:
         state = object.__new__(cls)
@@ -168,37 +169,32 @@ class GameUnitary:
 
 
 def tensor(a: QubitState, b: QubitState) -> TwoQubitState:
-    """Joint state of the two players, (a.x b.x, a.x b.y, a.y b.x, a.y b.y)."""
-    return _wrap_rows(TwoQubitState, _tensor_rows(a.vec[None], b.vec[None]))[0]
+    """Joint state of the two players, (a.x b.x, a.x b.y, a.y b.x, a.y b.y), checked by _joint_state."""
+    return _joint_state(np.outer(a.vec, b.vec).reshape(4))
 
 
 def apply(u: GameUnitary, s: TwoQubitState) -> TwoQubitState:
-    """Left-multiply s by u, with _apply_rows' drift rule."""
-    return _wrap_rows(TwoQubitState, _apply_rows(u, s.vec[None]))[0]
+    """Left-multiply s by u, checked by _joint_state."""
+    return _joint_state(u.mat @ s.vec)
 
 
-def _tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Checked (n, 4) rows a[k] (x) b[k] of two (n, 2) strategy arrays."""
-    return _unit_rows((a[:, :, None] * b[:, None, :]).reshape(-1, 4), 4, "two-qubit state")
-
-
-def _apply_rows(u: GameUnitary, rows: np.ndarray) -> np.ndarray:
-    """Checked, read-only (n, 4) rows u @ rows[k].
+def _joint_state(v: np.ndarray) -> TwoQubitState:
+    """The amplitudes v, a new array, as a read-only TwoQubitState.
 
     A matrix that only satisfies unitarity to 1e-10 can drift a product's
-    norm past the 1e-12 state tolerance.  A row whose own norm^2 drifts by
-    at most _APPLY_DRIFT is renormalized exactly, alone; a larger drift raises.
+    norm past the 1e-12 state tolerance, and so can the product of two
+    states each within it.  A norm^2 drift of at most _APPLY_DRIFT is
+    renormalized exactly; a larger drift raises.
     """
-    v = (u.mat[None] @ rows[:, :, None])[:, :, 0]
-    for k, norm_sq in enumerate((abs(v) ** 2).sum(axis=1).tolist()):
-        if abs(norm_sq - 1.0) > TOL.state_norm:
-            if abs(norm_sq - 1.0) > _APPLY_DRIFT:
-                raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
-            v[k] = v[k] / np.sqrt(norm_sq)
-    if not np.isfinite(v).all():  # a NaN row passes the drift checks
+    norm_sq = float((abs(v) ** 2).sum())
+    if abs(norm_sq - 1.0) > TOL.state_norm:
+        if abs(norm_sq - 1.0) > _APPLY_DRIFT:
+            raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
+        v = v / np.sqrt(norm_sq)
+    if not np.isfinite(v).all():  # a NaN state passes the drift checks
         raise NormalizationError("two-qubit state contains non-finite amplitudes")
     v.setflags(write=False)
-    return v
+    return _wrap_rows(TwoQubitState, v[None])[0]
 
 
 def _project_out(v: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:

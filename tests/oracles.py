@@ -14,21 +14,24 @@ pairs, and its bucketed dedup must keep the oracles' representatives,
 pair indices and payoff bits, bit for bit.
 
 scalar_verify_equilibrium is the per-play certification that
-verify_equilibria replaced: one joint state, built with np.kron and a
-plain matvec by reference_outcome, and the two coefficient contractions
-M1 b and M2^T a written out per play.  verify_equilibria must reproduce its
-certificates bit for bit, and scalar_search_certificates is the search
-recertified that way, with each strategy built from its Bloch angles.
+verify_equilibria replaced: the two coefficient contractions M1 b and
+M2^T a written out per play from the target rows, and each achieved
+modulus taken as the played strategy's contraction with its pair.
+verify_equilibria must reproduce its certificates bit for bit, and
+scalar_search_certificates is the search recertified that way, with each
+strategy built from its Bloch angles.  reference_outcome, U (a kron b) by
+np.kron and a plain matvec, is the reference for apply.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from qgame import equilibria
-from qgame.game import Play, StrategyParams, payoff_angle
+from qgame.game import Play, StrategyParams
 from qgame.qcore import TOL, NormalizationError, QubitState, TwoQubitState
 
 
@@ -152,15 +155,14 @@ def reference_outcome(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equilibria.EquilibriumCertificate:
-    """Closed-form equilibrium check of one play, its joint state built by reference_outcome."""
-    out = TwoQubitState(reference_outcome(g.u.mat, p.a.vec, p.b.vec))
+    """Closed-form equilibrium check of one play, from the target rows written out by hand."""
     t1, t2 = g.prefs.player1_target, g.prefs.player2_target
-    achieved1 = abs(out.amplitude(t1))
-    achieved2 = abs(out.amplitude(t2))
     (x1, y1), (x2, y2) = p.a.vec.tolist(), p.b.vec.tolist()
     m1, m2 = g.u.mat[t1].tolist(), g.u.mat[t2].tolist()
     pair1 = (m1[0] * x2 + m1[1] * y2, m1[2] * x2 + m1[3] * y2)  # M1 b
     pair2 = (m2[0] * x1 + m2[2] * y1, m2[1] * x1 + m2[3] * y1)  # M2^T a
+    achieved1 = abs(x1 * pair1[0] + y1 * pair1[1])  # |a^T M1 b|
+    achieved2 = abs(x2 * pair2[0] + y2 * pair2[1])  # |a^T M2 b| = |b^T M2^T a|
     best1, best2 = equilibria._pair_norm(pair1), equilibria._pair_norm(pair2)
 
     witness = None
@@ -174,8 +176,8 @@ def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equil
 
     return equilibria.EquilibriumCertificate(
         play=p,
-        payoff1=payoff_angle(out, t1),
-        payoff2=payoff_angle(out, t2),
+        payoff1=math.acos(min(1.0, max(0.0, achieved1**2))),
+        payoff2=math.acos(min(1.0, max(0.0, achieved2**2))),
         achieved1=achieved1,
         achieved2=achieved2,
         best1=best1,

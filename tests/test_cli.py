@@ -105,6 +105,19 @@ def test_verify_rejects_nonunitary_gate_file(tmp_path):
     assert "unitarity violated" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-11", "1e-12"])
+def test_verify_certifies_a_ten_digit_bell_mechanism_file(tmp_path, tol):
+    """1/sqrt(2) written to ten digits leaves a unitarity deviation of 3.8e-11, which loads and still certifies."""
+    s = 0.7071067812
+    rows = [[s, s, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [s, -s, 0, 0]]
+    path = write_json(tmp_path / "bell10.json", {"name": "bell10", "matrix": [[[v, 0.0] for v in row] for row in rows]})
+    code, out, err = run_cli(["verify", path, "--play", "1", "0", "1", "0", "--tol", tol])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["is_equilibrium"] is True
+    assert report["witness"] is None
+
+
 def test_verify_bad_bloch_angle_exits_two():
     code, _, err = run_cli(["verify", "cnot", "--bloch", "4,0", "0,0"])
     assert code == 2

@@ -34,7 +34,7 @@ from qgame.equilibria import (
     verify_equilibria,
     verify_equilibrium,
 )
-from qgame.game import Play, PreferenceProfile, QuantumGame, outcome
+from qgame.game import Play, PreferenceProfile, QuantumGame, outcome, payoffs
 from qgame.gates import BELL_CIRCUIT, CNOT, CZ, IDENTITY, LIBRARY, SWAP
 from qgame.mechanism import bell_target, certify_mechanism, synthesize_mechanism
 from qgame.qcore import (
@@ -293,6 +293,33 @@ def stacked(plays):
     return np.array([p.a.vec for p in plays]), np.array([p.b.vec for p in plays])
 
 
+@pytest.mark.parametrize("tol", [1e-11, 1e-12])
+def test_k_equilibria_certify_on_a_gate_at_the_unitarity_drift(tol):
+    """A gate that passes the unitarity check with a drift of 8e-11 still certifies its two equilibria."""
+    u = GameUnitary(random_unitary(np.random.default_rng(7)).mat * (1 + 4e-11))
+    g = QuantumGame(u)
+    for play in k_equilibria(g):
+        cert = verify_equilibrium(g, play, tol)
+        assert cert.is_equilibrium and cert.witness is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), prefs=st.sampled_from(ALL_PREFS), count=st.integers(1, 6))
+def test_certificate_amplitudes_are_the_computed_states(seed, prefs, count):
+    """achieved1 and achieved2, read from the 2x2 target matrices, are the target amplitudes of outcome's joint state.
+
+    payoffs reads the same contraction, so it equals the certificate's payoffs bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
+    plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(count)] + k_equilibria(g)
+    for play, cert in zip(plays, verify_equilibria(g, *stacked(plays))):
+        out = outcome(g, play)
+        assert abs(cert.achieved1 - abs(out.amplitude(prefs[0]))) <= 1e-12
+        assert abs(cert.achieved2 - abs(out.amplitude(prefs[1]))) <= 1e-12
+        assert payoffs(g, play) == (cert.payoff1, cert.payoff2)
+
+
 def test_verify_equilibria_matches_scalar_oracle_bit_for_bit():
     """1,000 seeded plays, each game's plays certified as one mixed batch and one at a time."""
     rng = np.random.default_rng(4242)
@@ -342,21 +369,23 @@ def test_verify_equilibria_rows_are_checked_like_qubit_states():
         verify_equilibria(g, good, good[:1])
 
 
-def test_verify_equilibria_rejects_product_rows_as_tensor_does():
-    """Two strategies each within TOL.state_norm can have a product outside it."""
-    near = np.array([[math.sqrt(1.0 + 0.8e-12), 0.0]])
-    play = Play(QubitState(near[0]), QubitState(near[0]))
-    with pytest.raises(NormalizationError):
-        scalar_verify_equilibrium(QuantumGame(CNOT), play)
-    with pytest.raises(NormalizationError):
-        verify_equilibria(QuantumGame(CNOT), near, near)
+def test_tensor_of_two_accepted_states_is_renormalized_not_rejected():
+    """Two strategies each within TOL.state_norm can have a product outside it, which tensor renormalizes."""
+    near = QubitState(np.array([math.sqrt(1.0 + 9e-13), 0.0]))
+    play, g = Play(near, near), QuantumGame(BELL_CIRCUIT)
+    joint = qcore.tensor(near, near)
+    assert abs(float(np.sum(np.abs(joint.vec) ** 2)) - 1.0) <= TOL.state_norm
+    assert np.allclose(outcome(g, play).vec, BELL_CIRCUIT.mat[:, 0], atol=1e-12)
+    cert = verify_equilibrium(g, play)
+    assert payoffs(g, play) == (cert.payoff1, cert.payoff2)
+    assert certificate_bits(cert) == certificate_bits(scalar_verify_equilibrium(g, play))
 
 
 def scaled_first_column(u: np.ndarray, factor: float) -> GameUnitary:
     """u with its first column scaled, wrapped without the unitarity check.
 
-    Only the joint state |00> feels the scaling, so a batch of plays in
-    which player one plays |1> keeps unit norm in every other row.
+    Only the joint state |00> feels the scaling, so every play in which
+    player one plays |1> keeps unit norm.
     """
     m = u.copy()
     m[:, 0] *= factor
@@ -367,56 +396,48 @@ def scaled_first_column(u: np.ndarray, factor: float) -> GameUnitary:
 
 @pytest.mark.parametrize("drift, renormalized", [(5e-13, False), (6e-11, True), (9e-10, True)])
 def test_drifting_row_is_renormalized_alone(drift, renormalized):
-    """A norm^2 drift in (TOL.state_norm, 1e-9] is renormalized, in the batch per row, as the reference does."""
+    """apply renormalizes a norm^2 drift in (TOL.state_norm, 1e-9] as the reference does, in the one state it reaches."""
     rng = np.random.default_rng(99)
     base = random_unitary(rng).mat
     u = scaled_first_column(base, math.sqrt(1.0 + drift))
     g = QuantumGame(u, PreferenceProfile(0, 3))
     plays = [Play(QubitState(np.array([0.0, np.exp(1j * t)])), random_qubit_state(rng)) for t in rng.uniform(0, 6, 5)]
-    plays.insert(2, Play(KET0, KET0))  # the one row with weight on |00>
-    a, b = stacked(plays)
-    rows = qcore._apply_rows(u, qcore._tensor_rows(a, b))
+    plays.insert(2, Play(KET0, KET0))  # the one play with weight on |00>
     for k, play in enumerate(plays):
+        state = outcome(g, play).vec
         raw = u.mat @ np.kron(play.a.vec, play.b.vec)
-        assert rows[k].tobytes() == reference_outcome(u.mat, play.a.vec, play.b.vec).tobytes()
-        changed = rows[k].tobytes() != raw.tobytes()
+        assert state.tobytes() == reference_outcome(u.mat, play.a.vec, play.b.vec).tobytes()
+        changed = state.tobytes() != raw.tobytes()
         assert changed == (renormalized and k == 2)
-    assert abs(float(np.sum(np.abs(rows[2]) ** 2)) - 1.0) <= TOL.state_norm
+    assert abs(float(np.sum(np.abs(outcome(g, plays[2]).vec) ** 2)) - 1.0) <= TOL.state_norm
     expected = [certificate_bits(scalar_verify_equilibrium(g, p)) for p in plays]
-    assert [certificate_bits(c) for c in verify_equilibria(g, a, b)] == expected
+    assert [certificate_bits(c) for c in verify_equilibria(g, *stacked(plays))] == expected
 
 
 def test_row_drifting_past_the_limit_raises_as_apply_does():
+    """apply raises on a norm^2 drift past 1e-9, in the one state it reaches."""
     rng = np.random.default_rng(98)
     u = scaled_first_column(random_unitary(rng).mat, math.sqrt(1.0 + 2e-9))
-    g = QuantumGame(u)
-    plays = [Play(KET1, random_qubit_state(rng)) for _ in range(3)] + [Play(KET0, KET0)]
-    for play in plays[:3]:
-        scalar_verify_equilibrium(g, play)  # the other rows alone are fine
+    for _ in range(3):
+        qcore.apply(u, qcore.tensor(KET1, random_qubit_state(rng)))  # no weight on |00>: fine
     with pytest.raises(NormalizationError):
         qcore.apply(u, qcore.tensor(KET0, KET0))
-    with pytest.raises(NormalizationError):
-        scalar_verify_equilibrium(g, plays[-1])
-    with pytest.raises(NormalizationError):
-        verify_equilibria(g, *stacked(plays))
-    with pytest.raises(NormalizationError):
-        verify_equilibrium(g, plays[-1])
 
 
 @pytest.mark.parametrize(
-    "first, second, message",
+    "factor, message",
     [
-        (math.nan, 1.0, "two-qubit state contains non-finite amplitudes"),
-        (1e200, 1.0, "applying unitary produced norm^2 = inf"),
-        (math.nan, 1.25, "applying unitary produced norm^2 = 1.5625"),
-        (1.5, 1.25, "applying unitary produced norm^2 = 2.25"),
+        (math.nan, "two-qubit state contains non-finite amplitudes"),
+        (1e200, "applying unitary produced norm^2 = inf"),
+        (1.25, "applying unitary produced norm^2 = 1.5625"),
+        (1.5, "applying unitary produced norm^2 = 2.25"),
     ],
 )
-def test_non_finite_and_drifting_rows_raise_in_row_order(first, second, message):
-    """The first row past the drift limit names its norm^2; a NaN row, which passes that check, raises after."""
-    rows = np.diag([first, second, 1.0, 1.0]).astype(complex)[:3]
-    with pytest.raises(NormalizationError) as raised, np.errstate(over="ignore"):
-        qcore._apply_rows(GameUnitary(np.eye(4)), rows)
+def test_non_finite_and_drifting_states_raise(factor, message):
+    """A state past the drift limit names its norm^2; a NaN state, which passes that check, fails the finiteness test."""
+    u = scaled_first_column(np.eye(4, dtype=complex), factor)
+    with pytest.raises(NormalizationError) as raised, np.errstate(over="ignore", invalid="ignore"):
+        qcore.apply(u, qcore.tensor(KET0, KET0))
     assert str(raised.value) == message
 
 
