@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import os
 import re
 import sys
@@ -276,12 +277,14 @@ _NO_WITNESS = np.zeros(2, dtype=complex)
 
 
 @functools.cache
-def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witness_player) -> str:
-    """str.format template of _certificate_dict's text at a nesting indent; {k} is float k of _certificate_floats.
+def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witness_player) -> tuple[str, operator.itemgetter]:
+    """%-template of _certificate_dict's text at a nesting indent, and a getter of its floats.
 
-    It is json.dumps's text of the dict of a marker certificate whose
-    floats are the markers, indented to the nesting level, so it has
-    _certificate_dict's layout by construction.
+    The template is json.dumps's text of the dict of a marker certificate
+    whose floats are the markers, indented to the nesting level, with a %s
+    for each marker, so it has _certificate_dict's layout by construction.
+    The getter takes the floats a row of _certificate_floats fills in, in
+    the template's order.
     """
     m = [float(f"1e1{k:02d}") for k in range(18)]
 
@@ -301,8 +304,7 @@ def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witn
         witness_player=witness_player,
     )
     text = json.dumps(_certificate_dict(marker), indent=2).replace("\n", indent)
-    text = text.replace("{", "{{").replace("}", "}}")
-    return _MARKER.sub(lambda match: "{" + str(int(match.group(1))) + "}", text)
+    return _MARKER.sub("%s", text), operator.itemgetter(*map(int, _MARKER.findall(text)))
 
 
 def _certificate_floats(certs: list[EquilibriumCertificate]) -> np.ndarray:
@@ -311,7 +313,7 @@ def _certificate_floats(certs: list[EquilibriumCertificate]) -> np.ndarray:
     The amplitude parts of player one, player two and the witness (zeros
     when there is none), then the rounded payoffs, achieved and best.
     """
-    states = np.array([(c.play.a.vec, c.play.b.vec, _NO_WITNESS if c.witness is None else c.witness.vec) for c in certs])
+    states = np.array([v for c in certs for v in (c.play.a.vec, c.play.b.vec, _NO_WITNESS if c.witness is None else c.witness.vec)])
     scalars = [(_round_angle(c.payoff1), _round_angle(c.payoff2), c.achieved1, c.achieved2, c.best1, c.best2) for c in certs]
     n = len(certs)  # the reshapes give an empty list its (0, 18) shape
     return np.concatenate([states.view(float).reshape(n, 12), np.array(scalars, dtype=float).reshape(n, 6)], axis=1)
@@ -320,9 +322,9 @@ def _certificate_floats(certs: list[EquilibriumCertificate]) -> np.ndarray:
 def _certificates_text(certs: list[EquilibriumCertificate], indent: str) -> str:
     """json.dumps([_certificate_dict(c) for c in certs], indent=2) at a nesting indent, byte for byte.
 
-    Each certificate fills its layout's template.  The floats of all of
-    them are written in one repr of a list that holds each distinct bit
-    pattern once, so -0.0 and 0.0 keep their own texts.
+    The templates of all certificates are joined and filled by one %.  The
+    floats of all of them are written in one repr of a list that holds each
+    distinct bit pattern once, so -0.0 and 0.0 keep their own texts.
     """
     if not certs:
         return "[]"
@@ -334,11 +336,12 @@ def _certificates_text(certs: list[EquilibriumCertificate], indent: str) -> str:
         texts = [_JSON_FLOATS.get(text, text) for text in texts]
     rows = np.array(texts, dtype=object)[inverse.reshape(floats.shape)].tolist()
     inner = indent + "  "
-    items = [
-        _certificate_template(inner, c.is_equilibrium, c.witness is not None, c.witness_player).format(*row)
-        for c, row in zip(certs, rows)
-    ]
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+    templates, values = [], []
+    for c, row in zip(certs, rows):
+        template, fields = _certificate_template(inner, c.is_equilibrium, c.witness is not None, c.witness_player)
+        templates.append(template)
+        values += fields(row)
+    return "[" + inner + ("," + inner).join(templates) % tuple(values) + indent + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from qgame import equilibria
 from qgame.game import Play, StrategyParams
-from qgame.qcore import TOL, NormalizationError, QubitState, TwoQubitState
+from qgame.qcore import TOL, NormalizationError, QubitState
 
 
 def bloch_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -139,19 +139,21 @@ def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> li
     return accepted
 
 
-def reference_outcome(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """U (a kron b), renormalized when its norm^2 drifts by more than 1e-12 and at most 1e-9.
-
-    The joint state is checked as a TwoQubitState, and a larger drift of
-    the product raises NormalizationError, as qgame.qcore.apply does.
-    """
-    v = u @ TwoQubitState(np.kron(a, b)).vec
+def drift_checked(v: np.ndarray) -> np.ndarray:
+    """v renormalized when its norm^2 drifts from 1 by more than 1e-12 and at most 1e-9; a larger drift or a non-finite entry raises."""
     norm_sq = float(np.sum(np.abs(v) ** 2))
     if abs(norm_sq - 1.0) > TOL.state_norm:
         if abs(norm_sq - 1.0) > 1e-9:
-            raise NormalizationError(f"applying unitary produced norm^2 = {norm_sq!r}")
+            raise NormalizationError(f"joint state has norm^2 = {norm_sq!r}")
         v = v / np.sqrt(norm_sq)
+    if not np.isfinite(v).all():
+        raise NormalizationError("joint state contains non-finite amplitudes")
     return v
+
+
+def reference_outcome(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """U (a kron b), the product and the result each taken through drift_checked, as qgame.qcore.tensor and apply are."""
+    return drift_checked(u @ drift_checked(np.kron(a, b)))
 
 
 def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equilibria.EquilibriumCertificate:

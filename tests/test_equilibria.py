@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import planted_game
 from oracles import (
     certificate_bits,
     dense_candidate_pairs,
@@ -414,6 +415,16 @@ def test_drifting_row_is_renormalized_alone(drift, renormalized):
     assert [certificate_bits(c) for c in verify_equilibria(g, *stacked(plays))] == expected
 
 
+def test_reference_renormalizes_a_drifting_product_as_tensor_does():
+    """Two states each within the state tolerance can have a product past it; the reference renormalizes it as tensor does."""
+    scale = math.sqrt(1.0 + 9e-13)
+    a, b = np.array([0.6 * scale, 0.8j * scale]), np.array([0.28 * scale, 0.96 * scale])
+    play = Play(QubitState(a), QubitState(b))
+    assert float(np.sum(np.abs(np.kron(a, b)) ** 2)) == 1.0000000000017994
+    u = random_unitary(np.random.default_rng(7))
+    assert outcome(QuantumGame(u), play).vec.tobytes() == reference_outcome(u.mat, a, b).tobytes()
+
+
 def test_row_drifting_past_the_limit_raises_as_apply_does():
     """apply raises on a norm^2 drift past 1e-9, in the one state it reaches."""
     rng = np.random.default_rng(98)
@@ -702,6 +713,23 @@ def test_windows_keep_pole_pairs_on_the_pass_threshold():
         assert window_misses(*scans(g, grid, tol)) == 0
 
 
+def test_windows_keep_planted_equilibria_at_tol_zero():
+    """An exact equilibrium planted on a pair of non-pole grid strategies sits on both pass thresholds at once.
+
+    At tol 0 only the cap guard's margin keeps such a pair in the windows, so
+    the scan must return the dense oracle's candidates, bits and all; at 1e-15
+    the planted pair itself passes.
+    """
+    grid = GridSpec(13, 24)
+    rng = np.random.default_rng(131)
+    for _ in range(24):
+        g, i, j = planted_game(rng, grid)
+        for tol in (0.0, 1e-15):
+            expected, got = scans(g, grid, tol)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert i * grid.theta_points * grid.phi_points + j in got[0]
+
+
 @pytest.mark.parametrize("phi_points", [2, 5])
 def test_all_pole_grid_finds_the_passing_basis_plays(phi_points):
     """On a grid of the two poles alone the search keeps the deduplicated passing plays among |0>, |1>.
@@ -814,6 +842,24 @@ def test_bucketed_dedup_merges_across_two_cells():
     assert (round(lo / step), round(hi / step)) == (0, 2) and hi - lo <= step
     p1, p2 = np.array([lo, hi]), np.zeros(2)
     assert equilibria._dedup_payoffs(p1, p2, step) == quadratic_dedup(p1, p2, step) == [0]
+
+
+def test_dedup_keeps_a_candidate_whose_only_near_pair_was_dropped():
+    """A is kept; B, within step of A, is dropped; C, within step of B alone, is kept, as B was not."""
+    step = TOL.payoff_dedup
+    p1, p2 = np.array([0.2, 1.1, 2.0]) * step, np.zeros(3)
+    assert equilibria._dedup_payoffs(p1, p2, step) == quadratic_dedup(p1, p2, step) == [0, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9), st.integers(0, 9), st.floats(0.0, 0.1)), max_size=40))
+def test_dedup_matches_quadratic_oracle_on_clustered_payoffs(points):
+    """Payoffs on lattices of 0.45 steps around three centres, one at the origin, so candidates conflict in chains."""
+    step = TOL.payoff_dedup
+    centres = [(0.0, 0.0), (0.5, 1.0), (1.5, 0.25)]
+    p1 = np.array([centres[k][0] + (0.45 * n1 + jitter) * step for k, n1, _, jitter in points])
+    p2 = np.array([centres[k][1] + 0.45 * n2 * step for k, _, n2, _ in points])
+    assert equilibria._dedup_payoffs(p1, p2, step) == quadratic_dedup(p1, p2, step)
 
 
 def test_grid_spec_validation():
