@@ -35,9 +35,9 @@ from .equilibria import (
     CASE_PAIRS,
     EquilibriumCertificate,
     GridSpec,
+    _search_rows,
     feasibility_region,
     response_coefficients,
-    search_equilibria,
     verify_equilibrium,
 )
 from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoff_angle
@@ -273,7 +273,6 @@ def _emit_json(report, out_path: str | None) -> None:
 
 # A marker certificate's float k is 1e+1kk, which no other text of a certificate holds.
 _MARKER = re.compile(r"1e\+1(\d\d)")
-_NO_WITNESS = np.zeros(2, dtype=complex)
 
 
 @functools.cache
@@ -307,40 +306,42 @@ def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witn
     return _MARKER.sub("%s", text), operator.itemgetter(*map(int, _MARKER.findall(text)))
 
 
-def _certificate_floats(certs: list[EquilibriumCertificate]) -> np.ndarray:
-    """(n, 18) floats of the certificates as _certificate_dict writes them, in the markers' order.
+def _certificate_floats(a: np.ndarray, b: np.ndarray, rows: list[tuple]) -> np.ndarray:
+    """(n, 18) floats _certificate_dict writes of the plays (a[k], b[k]) with _certify fields rows[k], in the markers' order.
 
     The amplitude parts of player one, player two and the witness (zeros
     when there is none), then the rounded payoffs, achieved and best.
     """
-    states = np.array([v for c in certs for v in (c.play.a.vec, c.play.b.vec, _NO_WITNESS if c.witness is None else c.witness.vec)])
-    scalars = [(_round_angle(c.payoff1), _round_angle(c.payoff2), c.achieved1, c.achieved2, c.best1, c.best2) for c in certs]
-    n = len(certs)  # the reshapes give an empty list its (0, 18) shape
-    return np.concatenate([states.view(float).reshape(n, 12), np.array(scalars, dtype=float).reshape(n, 6)], axis=1)
+    witnesses = np.zeros_like(a)
+    for k, row in enumerate(rows):
+        if row[7] is not None:  # the witness vector
+            witnesses[k] = row[7]
+    scalars = np.array([(_round_angle(r[0]), _round_angle(r[1]), *r[2:6]) for r in rows], dtype=float).reshape(-1, 6)  # (0, 6) when empty
+    return np.concatenate([a.view(float), b.view(float), witnesses.view(float), scalars], axis=1)
 
 
-def _certificates_text(certs: list[EquilibriumCertificate], indent: str) -> str:
-    """json.dumps([_certificate_dict(c) for c in certs], indent=2) at a nesting indent, byte for byte.
+def _certificates_text(a: np.ndarray, b: np.ndarray, rows: list[tuple], indent: str) -> str:
+    """json.dumps of the _certificate_dict list of the plays (a[k], b[k]) with _certify fields rows[k], indent=2, at a nesting indent.
 
     The templates of all certificates are joined and filled by one %.  The
     floats of all of them are written in one repr of a list that holds each
     distinct bit pattern once, so -0.0 and 0.0 keep their own texts.
     """
-    if not certs:
+    if not rows:
         return "[]"
-    floats = _certificate_floats(certs)
+    floats = _certificate_floats(a, b, rows)
     distinct, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
     joined = repr(distinct.view(float).tolist())[1:-1]
     texts = joined.split(", ")
     if "n" in joined:  # nan or inf, which JSON spells otherwise
         texts = [_JSON_FLOATS.get(text, text) for text in texts]
-    rows = np.array(texts, dtype=object)[inverse.reshape(floats.shape)].tolist()
+    cells = np.array(texts, dtype=object)[inverse.reshape(floats.shape)].tolist()
     inner = indent + "  "
     templates, values = [], []
-    for c, row in zip(certs, rows):
-        template, fields = _certificate_template(inner, c.is_equilibrium, c.witness is not None, c.witness_player)
+    for row, row_cells in zip(rows, cells):
+        template, fields = _certificate_template(inner, row[6], row[7] is not None, row[8])
         templates.append(template)
-        values += fields(row)
+        values += fields(row_cells)
     return "[" + inner + ("," + inner).join(templates) % tuple(values) + indent + "]"
 
 
@@ -356,10 +357,10 @@ def cmd_analyze(args) -> int:
 
     The JSON report is json.dumps(report, indent=2) byte for byte.
     json.dumps writes the envelope; the equilibria list, nearly all of a
-    large report, is not built as dicts: _certificates_text fills each
-    certificate's cached template of _certificate_dict's text, with the
-    floats of all certificates formatted in one batch.  The CSV rows are
-    columns of the same float table, _certificate_floats, written by repr.
+    large report, is written from the search's rows, with no certificate or
+    dict: _certificates_text fills each one's cached template of the text of
+    _certificate_dict, with the floats of all formatted in one batch.  The
+    CSV rows are columns of the same float table, _certificate_floats.
     """
     cfg = _config_from_args(args)
     name, unitary = _resolve_gate(args.gate)
@@ -381,13 +382,13 @@ def cmd_analyze(args) -> int:
                 }
             )
 
-    certificates = search_equilibria(game, GridSpec(cfg.grid_theta, cfg.grid_phi), cfg.tolerance)
+    a, b, rows = _search_rows(game, GridSpec(cfg.grid_theta, cfg.grid_phi), cfg.tolerance)
 
     if cfg.output_format == "csv":
         # Player one's and two's amplitude parts, then payoffs, best and achieved.
-        rows = _certificate_floats(certificates)[:, [*range(8), 12, 13, 16, 17, 14, 15]].tolist()
+        cells = _certificate_floats(a, b, rows)[:, [*range(8), 12, 13, 16, 17, 14, 15]].tolist()
         lines = ["x1_re,x1_im,y1_re,y1_im,x2_re,x2_im,y2_re,y2_im,payoff1,payoff2,best1,best2,achieved1,achieved2"]
-        lines += [",".join(map(repr, row)) for row in rows]
+        lines += [",".join(map(repr, row)) for row in cells]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -399,8 +400,8 @@ def cmd_analyze(args) -> int:
         "canonical_plays": canonical,
     }
     envelope = json.dumps(report, indent=2)[: -len("\n}")]
-    equilibria = _certificates_text(certificates, "\n  ")
-    _emit(f'{envelope},\n  "equilibria": {equilibria},\n  "equilibrium_count": {len(certificates)}\n}}\n', args.out)
+    equilibria = _certificates_text(a, b, rows, "\n  ")
+    _emit(f'{envelope},\n  "equilibria": {equilibria},\n  "equilibrium_count": {len(rows)}\n}}\n', args.out)
     return 0
 
 

@@ -123,12 +123,16 @@ def _pair_norm(pair: tuple[complex, complex]) -> float:
     return math.hypot(abs(pair[0]), abs(pair[1]))
 
 
-def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
+def _best_vector(pair: tuple[complex, complex]) -> np.ndarray:
     norm = _pair_norm(pair)
     if norm < 1e-15:
-        return KET0
+        return KET0.vec
     v = np.array([np.conj(pair[0]), np.conj(pair[1])]) / norm
-    return QubitState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
+    return QubitState(_best_vector(pair))
 
 
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
@@ -160,7 +164,7 @@ def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) ->
     applying it raises that player's amplitude by more than tol.  This is
     verify_equilibria for one play, whose certificate carries p itself.
     """
-    return _certify(g, p.a.vec[None], p.b.vec[None], [p], tol)[0]
+    return _certificate(p, _certify(g, [p.a.vec.tolist()], [p.b.vec.tolist()], tol)[0])
 
 
 def verify_equilibria(g: QuantumGame, a, b, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
@@ -173,7 +177,7 @@ def verify_equilibria(g: QuantumGame, a, b, tol: float = TOL.equilibrium) -> lis
     a, b = _unit_rows(a, 2, "qubit state"), _unit_rows(b, 2, "qubit state")
     if a.shape != b.shape:
         raise ValueError(f"strategy arrays hold {a.shape[0]} and {b.shape[0]} rows")
-    return _certify(g, a, b, [Play(x, y) for x, y in zip(_wrap_rows(QubitState, a), _wrap_rows(QubitState, b))], tol)
+    return list(map(_certificate, map(Play, _wrap_rows(QubitState, a), _wrap_rows(QubitState, b)), _certify(g, a.tolist(), b.tolist(), tol)))
 
 
 def _check_tol(tol: float) -> None:
@@ -181,33 +185,37 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
 
 
-def _certify(g: QuantumGame, a: np.ndarray, b: np.ndarray, plays: list[Play], tol: float) -> list[EquilibriumCertificate]:
-    """Certificates of the plays whose checked strategy rows are a and b.
+def _certify(g: QuantumGame, a: list, b: list, tol: float) -> list[tuple]:
+    """EquilibriumCertificate's fields after play, the witness as its vector, of each play of checked rows a, b (lists).
 
     Each play's achieved and best moduli come from one contraction,
     _play_contraction, so no joint state is formed: achieved1 = |a^T M1 b|
     is a's contraction with the pair M1 b whose norm is best1.  It is
     per-row Python complex and float arithmetic, which rounds as the
     numpy scalars of a single play do; numpy's array abs, hypot and
-    complex multiply do not.  Certificates take their fields by position,
-    which builds a batch of them about a quarter faster than by keyword.
+    complex multiply do not.
     """
     _check_tol(tol)
     m1, m2 = _target_matrices(g)
     m1, m2t = m1.tolist(), m2.T.tolist()
-    certificates = []
-    for play, a_row, b_row in zip(plays, a.tolist(), b.tolist()):
+    rows = []
+    for a_row, b_row in zip(a, b):
         pair1, pair2, achieved1, achieved2 = _play_contraction(m1, m2t, a_row, b_row)
         best1, best2 = _pair_norm(pair1), _pair_norm(pair2)
         if best1 > achieved1 + tol:
-            witness, witness_player = _best_strategy(pair1), 1
+            witness, witness_player = _best_vector(pair1), 1
         elif best2 > achieved2 + tol:
-            witness, witness_player = _best_strategy(pair2), 2
+            witness, witness_player = _best_vector(pair2), 2
         else:
             witness, witness_player = None, None
         payoff1, payoff2 = _modulus_payoff(achieved1), _modulus_payoff(achieved2)
-        certificates.append(EquilibriumCertificate(play, payoff1, payoff2, achieved1, achieved2, best1, best2, witness is None, witness, witness_player))
-    return certificates
+        rows.append((payoff1, payoff2, achieved1, achieved2, best1, best2, witness is None, witness, witness_player))
+    return rows
+
+
+def _certificate(p: Play, fields: tuple) -> EquilibriumCertificate:
+    """The certificate of play p from its _certify fields, by position (a quarter faster than by keyword), its witness a QubitState."""
+    return EquilibriumCertificate(p, *fields) if fields[7] is None else EquilibriumCertificate(p, *fields[:7], QubitState(fields[7]), fields[8])
 
 
 def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -268,11 +276,10 @@ def _window_pairs(thetas: np.ndarray, per_row: int, strategies: np.ndarray, cap1
 
     # reached[k, k2]: some i on row k has row k2 in player two's cap.
     first, count = rows(cap2[0], cap2[2])
-    on = count > 0
-    edges = np.zeros((thetas.size, thetas.size + 1), np.int64)
-    np.add.at(edges, (row[on], first[on]), 1)
-    np.add.at(edges, (row[on], first[on] + count[on]), -1)
-    reached = np.cumsum(edges[:, :-1], axis=1) > 0
+    on, shape = count > 0, (thetas.size, thetas.size + 1)
+    start = np.ravel_multi_index((row[on], first[on]), shape)  # flat key of each cap's first row
+    edges = np.bincount(start, minlength=shape[0] * shape[1]) - np.bincount(start + count[on], minlength=shape[0] * shape[1])
+    reached = np.cumsum(edges.reshape(shape)[:, :-1], axis=1) > 0
 
     # Each (row k of i, j) in player one's cap of j, where player two's caps reach.
     span, k = _spans(*rows(cap1[0], cap1[2]))
@@ -356,6 +363,18 @@ def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> lis
     return np.sort(first[kept[:-1]]).tolist()
 
 
+def _search_rows(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """search_equilibria's plays as checked strategy rows a and b, and _certify's fields of each."""
+    _check_tol(tol)
+    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
+    if not pair_index.size:  # no candidates, as on generic games at tol 1e-9: skip the empty-array set-up
+        return np.zeros((0, 2), complex), np.zeros((0, 2), complex), []
+    i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], grid.theta_points * grid.phi_points)
+    _, _, x, y = _grid_amplitudes(grid)
+    a, b = (_unit_rows(np.column_stack([x[k], y[k]]), 2, "qubit state") for k in (i, j))
+    return a, b, _certify(g, a.tolist(), b.tolist(), tol)
+
+
 def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
     """Equilibrium scan over all grid strategy pairs.
 
@@ -366,18 +385,13 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
     de-duplicated by payoff proximity (_dedup_payoffs): the first candidate
     of each rounded payoff cell, in grid order, is kept unless an earlier
     kept one lies within TOL.payoff_dedup, and the cell's later candidates
-    are dropped.  Survivors are re-certified in one verify_equilibria call.  The
-    certificates' values come from that call's per-row scalar rounding, not
-    from the grid's array rounding, so at the margin a certificate can
-    disagree with the check that kept its play.
+    are dropped.  Survivors are re-certified in one _certify pass.  The
+    certificates' values come from its per-row scalar rounding, not from
+    the grid's array rounding, so at the margin a certificate can disagree
+    with the check that kept its play.
     """
-    _check_tol(tol)
-    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
-    if not pair_index.size:  # no candidates, as on generic games at tol 1e-9: skip the empty-array set-up
-        return []
-    i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], grid.theta_points * grid.phi_points)
-    _, _, x, y = _grid_amplitudes(grid)
-    return verify_equilibria(g, np.column_stack([x[i], y[i]]), np.column_stack([x[j], y[j]]), tol)
+    a, b, rows = _search_rows(g, grid, tol)
+    return list(map(_certificate, map(Play, _wrap_rows(QubitState, a), _wrap_rows(QubitState, b)), rows))
 
 
 def case_inequality_holds(case_id: int, coeffs: ResponseCoefficients, play: Play, deviation: QubitState) -> bool:

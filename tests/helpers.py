@@ -54,3 +54,17 @@ def planted_game(rng: np.random.Generator, grid: GridSpec) -> tuple[QuantumGame,
     i, j = rng.integers(per_row, x.size - per_row, size=2).tolist()  # off the pole rows
     planted = u.mat @ np.kron(_carry(np.array([x[i], y[i]]), a), _carry(np.array([x[j], y[j]]), b))
     return QuantumGame(GameUnitary(planted), PreferenceProfile(t1, t2)), i, j
+
+
+def certificate_fields(cert) -> tuple:
+    """A certificate's fields after play, as qgame.equilibria._certify gives each play's: the witness as its vector."""
+    witness = None if cert.witness is None else cert.witness.vec
+    return (cert.payoff1, cert.payoff2, cert.achieved1, cert.achieved2, cert.best1, cert.best2,
+            cert.is_equilibrium, witness, cert.witness_player)
+
+
+def certificate_table(certs) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Certificates as cmd_analyze's writer reads the search's output: strategy rows a and b, and each play's fields."""
+    a = np.array([c.play.a.vec for c in certs], dtype=complex).reshape(-1, 2)
+    b = np.array([c.play.b.vec for c in certs], dtype=complex).reshape(-1, 2)
+    return a, b, [certificate_fields(c) for c in certs]

@@ -30,6 +30,7 @@ import struct
 
 import numpy as np
 
+from helpers import certificate_fields
 from qgame import equilibria
 from qgame.game import Play, StrategyParams
 from qgame.qcore import TOL, NormalizationError, QubitState
@@ -190,9 +191,9 @@ def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equil
     )
 
 
-def per_play_verify_equilibria(g, a, b, tol: float = TOL.equilibrium) -> list:
-    """verify_equilibria's contract met one play at a time by scalar_verify_equilibrium."""
-    return [scalar_verify_equilibrium(g, Play(QubitState(x), QubitState(y)), tol) for x, y in zip(a, b)]
+def per_play_certify(g, a, b, tol: float = TOL.equilibrium) -> list:
+    """equilibria._certify's contract, each play's certificate fields, met one play at a time by scalar_verify_equilibrium."""
+    return [certificate_fields(scalar_verify_equilibrium(g, Play(QubitState(x), QubitState(y)), tol)) for x, y in zip(a, b)]
 
 
 def scalar_search_certificates(g, grid, tol: float = TOL.equilibrium) -> list:
@@ -224,3 +225,11 @@ def certificate_bits(cert) -> tuple:
         witness,
         cert.witness_player,
     )
+
+
+def row_bits(x: np.ndarray, y: np.ndarray, fields: tuple) -> tuple:
+    """certificate_bits of the play (x, y) whose equilibria._certify fields are fields, without building the certificate."""
+    floats = fields[:6]
+    assert all(type(f) is float for f in floats)
+    witness = None if fields[7] is None else fields[7].tobytes()
+    return (x.tobytes(), y.tobytes(), struct.pack("6d", *floats), fields[6], witness, fields[8])

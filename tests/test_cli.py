@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import run_cli
-from oracles import dense_candidate_pairs, per_play_verify_equilibria, quadratic_dedup
+from helpers import certificate_table, run_cli
+from oracles import dense_candidate_pairs, per_play_certify, quadratic_dedup
 from qgame import cli, equilibria
 from qgame.equilibria import verify_equilibria, verify_equilibrium
 from qgame.game import Play, PreferenceProfile, QuantumGame
@@ -252,7 +252,7 @@ def test_certificate_template_matches_dict_writer(seed, count, tol, depth):
     certs = verify_equilibria(g, *certificate_rows(g, rng, count), tol)
     indent = "\n" + "  " * depth
     dicts = [cli._certificate_dict(c) for c in certs]
-    text = cli._certificates_text(certs, indent)
+    text = cli._certificates_text(*certificate_table(certs), indent)
     assert text == json.dumps(dicts, indent=2).replace("\n", indent)
     assert "-0.0" in text
 
@@ -264,7 +264,7 @@ def test_certificate_rows_give_every_layout():
         g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
         certs = verify_equilibria(g, *certificate_rows(g, rng, 4), 1e-9)
         assert {c.witness_player for c in certs} == {None, 1, 2}
-    assert cli._certificates_text([], "\n  ") == "[]"
+    assert cli._certificates_text(*certificate_table([]), "\n  ") == "[]"
 
 
 def test_certificate_floats_keep_json_spellings(monkeypatch):
@@ -280,11 +280,11 @@ def test_certificate_floats_keep_json_spellings(monkeypatch):
         values = {name: specials[(k + n) % len(specials)] for n, name in enumerate(fields)}
         certs += [dataclasses.replace(base, **values), dataclasses.replace(witness, **values)]
     dicts = [cli._certificate_dict(c) for c in certs]
-    text = cli._certificates_text(certs, "\n  ")
+    text = cli._certificates_text(*certificate_table(certs), "\n  ")
     assert text == json.dumps(dicts, indent=2).replace("\n", "\n  ")
     for word in ("-0.0,", "0.0,", "NaN", "Infinity", "-Infinity", "5e-324", "1e+16"):
         assert word in text
-    monkeypatch.setattr(cli, "search_equilibria", lambda *args: certs)
+    monkeypatch.setattr(cli, "_search_rows", lambda *args: certificate_table(certs))
     code, out, _ = run_cli(["analyze", "cnot", "--csv"])
     rows = out.splitlines()[1:]
     assert code == 0 and rows == [csv_row(c) for c in certs]
@@ -310,7 +310,7 @@ def test_analyze_csv_rows_are_each_certificates_repr_cells(seed, count, tol):
     g = QuantumGame(random_unitary(rng), PreferenceProfile(t1, t2))
     certs = verify_equilibria(g, *certificate_rows(g, rng, count), tol)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "search_equilibria", lambda *args: certs)
+        mp.setattr(cli, "_search_rows", lambda *args: certificate_table(certs))
         code, out, _ = run_cli(["analyze", "cnot", "--csv", "--grid-theta", "2", "--grid-phi", "3"])
     assert code == 0 and out.splitlines()[1:] == [csv_row(c) for c in certs]
     assert "-0.0" in out
@@ -382,7 +382,7 @@ def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
     fast = [run_cli(args) for args in runs]
     monkeypatch.setattr(equilibria, "_candidate_pairs", dense_candidate_pairs)
     monkeypatch.setattr(equilibria, "_dedup_payoffs", quadratic_dedup)
-    monkeypatch.setattr(equilibria, "verify_equilibria", per_play_verify_equilibria)
+    monkeypatch.setattr(equilibria, "_certify", per_play_certify)
     dense = [run_cli(args) for args in runs]
     assert fast == dense
     assert all(code == 0 and out for code, out, _ in fast)

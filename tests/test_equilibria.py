@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import planted_game
+from helpers import certificate_table, planted_game
 from oracles import (
     certificate_bits,
     dense_candidate_pairs,
@@ -16,10 +16,11 @@ from oracles import (
     pole_copies,
     quadratic_dedup,
     reference_outcome,
+    row_bits,
     scalar_search_certificates,
     scalar_verify_equilibrium,
 )
-from qgame import equilibria, qcore
+from qgame import cli, equilibria, qcore
 from qgame.equilibria import (
     CASE_IDS,
     CASE_PAIRS,
@@ -519,6 +520,30 @@ def test_search_certificates_match_scalar_recertification(tol):
             got = [certificate_bits(c) for c in search_equilibria(g, GridSpec(13, 24), tol)]
             assert got == [certificate_bits(c) for c in scalar_search_certificates(g, GridSpec(13, 24), tol)], (name, prefs)
             total += len(got)
+    assert total > 1000
+
+
+def table_games():
+    """The 72 library games, 20 seeded Haar games and 10 games with an equilibrium planted on the 21x40 grid."""
+    games = [QuantumGame(entry.unitary, PreferenceProfile(*prefs)) for _, entry in sorted(LIBRARY.items()) for prefs in ALL_PREFS]
+    rng = np.random.default_rng(1818)
+    games += [QuantumGame(random_unitary(rng), random_prefs(rng)) for _ in range(20)]
+    return games + [planted_game(rng, GridSpec(21, 40))[0] for _ in range(10)]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_search_certificates_equal_the_rows_analyze_writes(tol):
+    """Each search_equilibria certificate is its row of the search's table, bit for bit, and so is each play's verify_equilibrium."""
+    grid, total = GridSpec(21, 40), 0
+    for g in table_games():
+        a, b, rows = equilibria._search_rows(g, grid, tol)
+        table = [row_bits(x, y, fields) for x, y, fields in zip(a, b, rows)]
+        certs = search_equilibria(g, grid, tol)
+        assert [certificate_bits(c) for c in certs] == table
+        assert cli._certificate_floats(a, b, rows).tobytes() == cli._certificate_floats(*certificate_table(certs)).tobytes()
+        single = [verify_equilibrium(g, Play(QubitState(x), QubitState(y)), tol) for x, y in zip(a, b)]
+        assert [certificate_bits(c) for c in single] == table
+        total += len(rows)
     assert total > 1000
 
 
