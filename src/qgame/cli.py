@@ -25,7 +25,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,13 +35,14 @@ from .equilibria import (
     CASE_PAIRS,
     EquilibriumCertificate,
     GridSpec,
+    _player_coefficients,
     _search_rows,
     feasibility_region,
     response_coefficients,
     verify_equilibrium,
 )
-from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, outcome, payoff_angle
-from .gates import LIBRARY, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file, save_gate_file
+from .game import Play, PreferenceProfile, QuantumGame, StrategyParams
+from .gates import LIBRARY, _read_json_file, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file, save_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
 from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState, _is_int
 
@@ -73,24 +74,16 @@ class RunConfig:
             raise ValueError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
 
 
-_CONFIG_KEYS = ("tolerance", "grid_theta", "grid_phi", "prefs", "output_format")
-
-
 def load_run_config(env: dict | None = None) -> RunConfig:
     """RunConfig from defaults, overridden by the QGAME_CONFIG file if set."""
     env = os.environ if env is None else env
     path = env.get(CONFIG_ENV_VAR)
     if not path:
         return RunConfig()
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise QGameError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise QGameError(f"config file {path} is not valid JSON: {exc}") from None
+    data = _read_json_file(path, "config file")
     if not isinstance(data, dict):
         raise QGameError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS)
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise QGameError(f"config file {path} has unknown keys: {', '.join(sorted(unknown))}")
     kwargs = dict(data)
@@ -102,9 +95,7 @@ def load_run_config(env: dict | None = None) -> RunConfig:
 def _prefs_profile(value) -> PreferenceProfile:
     try:
         first, second = value
-        if not (_is_int(first) and _is_int(second)):
-            raise ValueError(f"got {value!r}")
-        return PreferenceProfile(int(first), int(second))
+        return PreferenceProfile(first, second)
     except (TypeError, ValueError) as exc:
         raise QGameError(f"prefs must be two distinct outcome indices in 0..3: {exc}") from None
 
@@ -349,11 +340,8 @@ def _certificates_text(a: np.ndarray, b: np.ndarray, rows: list[tuple], indent: 
 # commands
 
 
-_BASIS = {0: KET0, 1: KET1}
-
-
 def cmd_analyze(args) -> int:
-    """Payoff table and coefficients at the four basis plays, then the grid search's certificates.
+    """Payoff table and coefficients at the four basis plays, read from their certificates, then the grid search's certificates.
 
     The JSON report is json.dumps(report, indent=2) byte for byte.
     json.dumps writes the envelope; the equilibria list, nearly all of a
@@ -368,17 +356,15 @@ def cmd_analyze(args) -> int:
     t1, t2 = cfg.prefs.player1_target, cfg.prefs.player2_target
 
     canonical = []
-    for i in (0, 1):
-        for j in (0, 1):
-            play = Play(_BASIS[i], _BASIS[j])
-            coeffs = response_coefficients(game, play)
-            out = outcome(game, play)
+    for i, a in enumerate((KET0, KET1)):
+        for j, b in enumerate((KET0, KET1)):
+            cert = verify_equilibrium(game, Play(a, b), cfg.tolerance)
             canonical.append(
                 {
                     "play": f"(|{i}>, |{j}>)",
-                    "payoffs": [_round_angle(payoff_angle(out, t1)), _round_angle(payoff_angle(out, t2))],
-                    "achieved": [abs(out.amplitude(t1)), abs(out.amplitude(t2))],
-                    "coefficients": asdict(coeffs),
+                    "payoffs": [_round_angle(cert.payoff1), _round_angle(cert.payoff2)],
+                    "achieved": [cert.achieved1, cert.achieved2],
+                    "coefficients": asdict(response_coefficients(game, cert.play)),
                 }
             )
 
@@ -433,7 +419,7 @@ def cmd_region(args) -> int:
 
     players = []
     for player, case in ((1, pair[0]), (2, pair[1])):
-        p_side, q_side = (coeffs.p, coeffs.q) if player == 1 else (coeffs.p_prime, coeffs.q_prime)
+        p_side, q_side = _player_coefficients(coeffs, player)
         info = {"player": player, "case": case}
         if max(p_side, q_side) >= TOL.degenerate_coefficient:
             swapped = p_side < TOL.degenerate_coefficient
@@ -483,10 +469,7 @@ def _load_target_state(token: str) -> tuple[str, TwoQubitState]:
     path = Path(token)
     if not path.exists():
         raise QGameError(f"mechanism target {token!r} is neither 'bell' nor an existing amplitude file")
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise QGameError(f"cannot read target file {token}: {exc}") from None
+    data = _read_json_file(token, "target file")
     amplitudes = data.get("amplitudes") if isinstance(data, dict) else data
     name = data.get("name", path.stem) if isinstance(data, dict) else path.stem
     if not isinstance(name, str):
@@ -500,7 +483,7 @@ def _load_target_state(token: str) -> tuple[str, TwoQubitState]:
 def cmd_mechanism(args) -> int:
     cfg = _config_from_args(args)
     target_name, target_state = _load_target_state(args.target)
-    target = MechanismTarget(target_state, Play(KET0, KET0), cfg.prefs)
+    target = MechanismTarget(target_state, prefs=cfg.prefs)
     deviation = _bloch_strategy(args.deviation, "deviation")
 
     constraints = derive_constraints(target)
@@ -513,7 +496,10 @@ def cmd_mechanism(args) -> int:
         if c.value is not None:
             entry["value"] = [c.value.real, c.value.imag]
         if c.bound is not None:
-            entry["bound_at_deviation"] = c.bound(abs(deviation.x), abs(deviation.y))
+            try:
+                entry["bound_at_deviation"] = c.bound(abs(deviation.x), abs(deviation.y))
+            except ValueError:  # the deviation is the played basis state; only paper_bound synthesis needs the cap
+                entry["bound_at_deviation"] = None
         constraint_reports.append(entry)
 
     if args.out:

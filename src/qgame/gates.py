@@ -131,11 +131,15 @@ def save_gate_file(path: str | Path, name: str, u: GameUnitary) -> None:
     Path(path).write_text(json.dumps(gate_to_json_dict(name, u), indent=2) + "\n")
 
 
-def load_gate_file(path: str | Path) -> tuple[str, GameUnitary]:
+def _read_json_file(path: str | Path, what: str):
+    """The JSON value in the file at path; what names the file in the errors, which quote path as given."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise QGameError(f"cannot read gate file {path}: {exc}") from None
+        raise QGameError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise QGameError(f"gate file {path} is not valid JSON: {exc}") from None
-    return gate_from_json_dict(data)
+        raise QGameError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_gate_file(path: str | Path) -> tuple[str, GameUnitary]:
+    return gate_from_json_dict(_read_json_file(path, "gate file"))

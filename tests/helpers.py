@@ -56,6 +56,53 @@ def planted_game(rng: np.random.Generator, grid: GridSpec) -> tuple[QuantumGame,
     return QuantumGame(GameUnitary(planted), PreferenceProfile(t1, t2)), i, j
 
 
+# Strata of (rank M1, rank M2); the (1, 1) games split by K = conj(M1) M2^T being 0 or nilpotent and nonzero.
+STRATA = ("2,2", "2,1", "1,2", "1,1 K=0", "1,1 K nilpotent")
+
+
+def _gaussian(rng: np.random.Generator, size) -> np.ndarray:
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _orthogonal(v: np.ndarray) -> np.ndarray:
+    """The unit 2-vector orthogonal to the unit 2-vector v."""
+    return np.array([-np.conj(v[1]), np.conj(v[0])])
+
+
+def stratum_game(rng: np.random.Generator, stratum: str) -> QuantumGame:
+    """A game of the given STRATA entry at random distinct preferences.
+
+    Its two target rows are orthonormal, of the stratum's ranks, and completed to U by QR.
+    A rank-1 row is u kron v, so its M is u v^T.  A rank-2 row is a Gaussian row,
+    projected off the other row when that one is rank 1 or comes first.  In (1, 1),
+    K = <v1|v2> conj(u1) u2^T and tr K = <v1|v2> <u1|u2>: v2 is orthogonal to v1 for
+    K = 0, and u2 to u1 for a nonzero K whose square is 0.
+    """
+    u1, v1, u2, v2 = (_unit(_gaussian(rng, 2)) for _ in range(4))
+    if stratum == "1,1 K=0":
+        v2 = _orthogonal(v1)
+    elif stratum == "1,1 K nilpotent":
+        u2 = _orthogonal(u1)
+    rank1, rank2 = int(stratum[0]), int(stratum[2])
+    r1 = np.kron(u1, v1) if rank1 == 1 else _unit(_gaussian(rng, 4))
+    r2 = np.kron(u2, v2) if rank2 == 1 else _unit(_gaussian(rng, 4))
+    if rank2 == 2:
+        r2 = _unit(r2 - np.vdot(r1, r2) * r1)
+    elif rank1 == 2:
+        r1 = _unit(r1 - np.vdot(r2, r1) * r2)
+    # Columns 2 and 3 of Q are orthogonal to conj(r1) and conj(r2), so their conjugates complete the rows.
+    q = np.linalg.qr(np.column_stack([np.conj(r1), np.conj(r2), _gaussian(rng, (4, 2))]))[0]
+    t1, t2 = rng.choice(4, size=2, replace=False).tolist()
+    rows = np.empty((4, 4), dtype=complex)
+    rows[[t1, t2]] = r1, r2
+    rows[[t for t in range(4) if t not in (t1, t2)]] = np.conj(q[:, 2:]).T
+    return QuantumGame(GameUnitary(rows), PreferenceProfile(t1, t2))
+
+
 def certificate_fields(cert) -> tuple:
     """A certificate's fields after play, as qgame.equilibria._certify gives each play's: the witness as its vector."""
     witness = None if cert.witness is None else cert.witness.vec

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from helpers import certificate_table, run_cli
 from oracles import dense_candidate_pairs, per_play_certify, quadratic_dedup
 from qgame import cli, equilibria
-from qgame.equilibria import verify_equilibria, verify_equilibrium
+from qgame.equilibria import response_coefficients, verify_equilibria, verify_equilibrium
 from qgame.game import Play, PreferenceProfile, QuantumGame
 from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file, save_gate_file
-from qgame.qcore import QubitState, check_unitary, random_unitary
+from qgame.qcore import KET0, KET1, QubitState, check_unitary, random_unitary
 
 PI = math.pi
 
@@ -353,6 +353,35 @@ def test_analyze_json_report_structure():
     assert any(abs(p1 - PI / 2) < 1e-9 and abs(p2) < 1e-9 for p1, p2 in best)
 
 
+def test_analyze_basis_table_reads_certificates(tmp_path):
+    """Each canonical play's payoffs, achieved and coefficients are its certificate's and response_coefficients', bit for bit.
+
+    The ten-digit Bell file's first column has norm^2 1 + 4.6e-11, which the joint state
+    U (a kron b) would renormalize; the certificate reads the column as written.
+    """
+    s = 0.7071067812
+    rows = [[s, s, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [s, -s, 0, 0]]
+    gates = sorted(LIBRARY) + [write_json(tmp_path / "bell10.json", {"name": "bell10", "matrix": [[[v, 0.0] for v in row] for row in rows]})]
+    for seed in range(3):
+        gates.append(str(tmp_path / f"haar{seed}.json"))
+        save_gate_file(gates[-1], f"haar{seed}", random_unitary(np.random.default_rng(2090 + seed)))
+    for gate in gates:
+        unitary = LIBRARY[gate].unitary if gate in LIBRARY else load_gate_file(gate)[1]
+        for t1, t2 in ((i, j) for i in range(4) for j in range(4) if i != j):
+            code, out, _ = run_cli(["analyze", gate, "--prefs", f"{t1},{t2}", "--grid-theta", "2", "--grid-phi", "3"])
+            assert code == 0
+            game = QuantumGame(unitary, PreferenceProfile(t1, t2))
+            for entry, (i, j) in zip(json.loads(out)["canonical_plays"], ((0, 0), (0, 1), (1, 0), (1, 1))):
+                cert = verify_equilibrium(game, Play((KET0, KET1)[i], (KET0, KET1)[j]))
+                expected = {
+                    "play": f"(|{i}>, |{j}>)",
+                    "payoffs": [cli._round_angle(cert.payoff1), cli._round_angle(cert.payoff2)],
+                    "achieved": [cert.achieved1, cert.achieved2],
+                    "coefficients": dataclasses.asdict(response_coefficients(game, cert.play)),
+                }
+                assert json.dumps(entry) == json.dumps(expected), (gate, t1, t2)
+
+
 def test_analyze_csv_format():
     code, out, _ = run_cli(
         ["analyze", "cnot", "--grid-theta", "13", "--grid-phi", "24", "--csv"]
@@ -520,6 +549,23 @@ def test_mechanism_bell_strict_certifies():
     assert bound["bound_at_deviation"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
+def test_mechanism_strict_at_the_played_state_deviation_reports_no_bound():
+    """Strict synthesis never reads the deviation; only the report's paper_bound cap, undefined there, is null."""
+    code, out, err = run_cli(["mechanism", "bell", "--deviation", "0,0"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["certified"] is True
+    assert [c["bound_at_deviation"] for c in report["constraints"] if c["kind"] == "modulus_bound"] == [None]
+    assert report["unitary"] == json.loads(run_cli(["mechanism", "bell"])[1])["unitary"]
+
+
+def test_mechanism_paper_bound_at_the_played_state_deviation_exits_two():
+    """paper_bound synthesis needs the cap, which the deviation equal to the played basis state leaves undefined."""
+    code, out, err = run_cli(["mechanism", "bell", "--mode", "paper_bound", "--deviation", "0,0"])
+    assert (code, out) == (2, "")
+    assert "deviation bound is undefined" in err
+
+
 def test_mechanism_writes_gate_file(tmp_path):
     path = tmp_path / "mech.json"
     code, out, _ = run_cli(["mechanism", "bell", "--out", str(path)])
@@ -583,6 +629,11 @@ def test_mechanism_rejects_bad_target(tmp_path):
     code, _, err = run_cli(["mechanism", unnorm])
     assert code == 2
     assert "norm" in err
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"amplitudes": [')
+    code, _, err = run_cli(["mechanism", str(broken)])
+    assert code == 2
+    assert f"target file {broken} is not valid JSON" in err
 
 
 # --------------------------------------------------------------------- gates
@@ -714,6 +765,9 @@ def test_config_invalid_value_rejected(tmp_path, monkeypatch):
         ({"grid_phi": 40.5}, "grid_phi"),
         ({"prefs": [0, 1.7]}, "prefs"),
         ({"prefs": [True, 0]}, "prefs"),
+        ({"prefs": [0, 1, 2]}, "prefs"),
+        ({"prefs": "01"}, "prefs"),
+        ({"prefs": None}, "prefs"),
     ],
 )
 def test_config_mistyped_value_rejected(tmp_path, monkeypatch, payload, key):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import certificate_table, planted_game
+from helpers import STRATA, certificate_table, planted_game, stratum_game
 from oracles import (
     certificate_bits,
     dense_candidate_pairs,
@@ -910,6 +910,45 @@ def test_k_is_traceless_and_squares_to_minus_its_determinant():
             k = np.conj(m1) @ m2.T
             assert abs(np.trace(k)) <= 1e-12
             assert np.max(np.abs(k @ k + np.linalg.det(k) * np.eye(2))) <= 1e-12
+
+
+# Smallest singular value a rank-2 target matrix of stratum_game must keep, and the smallest
+# nonzero K.  Both are Gaussian draws, below e with a probability of order e^2 (3.6e-3 and
+# 1.2e-2 were the least over 3,000 seeds), so 1e-6 fails about once in 1e11 draws.
+RANK_TWO_FLOOR = 1e-6
+
+
+@pytest.mark.parametrize("stratum", STRATA)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stratum_games_hold_their_signature(stratum, seed):
+    """Each stratum_game has its ranks and traceless K; a mixed game's one closed-form equilibrium certifies.
+
+    In (2, 1), with M2 = u2 v2^T, it is b = conj(v2) and a = conj(M1 b), where u2^T a = tr K = 0,
+    so player two's achieved and best are both 0.  (1, 2) is the mirror: a = conj(u1), b = conj(M2^T a).
+    """
+    g = stratum_game(np.random.default_rng(seed), stratum)
+    m1, m2 = equilibria._target_matrices(g)
+    k = np.conj(m1) @ m2.T
+    for rank, m in zip((int(stratum[0]), int(stratum[2])), (m1, m2)):
+        sigma_min = np.linalg.svd(m, compute_uv=False)[-1]
+        assert sigma_min <= 1e-12 if rank == 1 else sigma_min >= RANK_TWO_FLOOR
+    assert abs(np.trace(k)) <= 1e-12
+    if stratum == "1,1 K=0":
+        assert np.max(np.abs(k)) <= 1e-12
+    elif stratum == "1,1 K nilpotent":
+        assert np.max(np.abs(k)) >= RANK_TWO_FLOOR and np.max(np.abs(k @ k)) <= 1e-12
+    elif stratum in ("2,1", "1,2"):
+        if stratum == "2,1":
+            b = np.conj(np.linalg.svd(m2)[2][0])  # conj(v2): v2^T is M2's first right singular row
+            a = np.conj(m1 @ b)
+        else:
+            a = np.conj(np.linalg.svd(m1)[0][:, 0])  # conj(u1)
+            b = np.conj(m2.T @ a)
+        cert = verify_equilibrium(g, Play(QubitState(a / np.linalg.norm(a)), QubitState(b / np.linalg.norm(b))), 1e-12)
+        assert cert.is_equilibrium
+        rank_one = (cert.achieved2, cert.best2) if stratum == "2,1" else (cert.achieved1, cert.best1)
+        assert max(rank_one) <= 1e-12
 
 
 # ------------------------------------------------------- case inequalities
