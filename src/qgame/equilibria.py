@@ -15,6 +15,8 @@ value is attained whenever a certificate reports equilibrium.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,12 +220,19 @@ def _certificate(p: Play, fields: tuple) -> EquilibriumCertificate:
     return EquilibriumCertificate(p, *fields) if fields[7] is None else EquilibriumCertificate(p, *fields[:7], QubitState(fields[7]), fields[8])
 
 
+@functools.lru_cache(maxsize=1)
 def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened amplitude arrays (x, y) over the grid, theta-major order."""
+    """The grid's thetas and phis, and its flattened amplitude arrays (x, y) in theta-major order.
+
+    The last grid's arrays are kept, so a search, and every later search on the same grid,
+    builds them once.  Every caller shares them, so they are read-only.
+    """
     thetas = np.linspace(0.0, math.pi, grid.theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, grid.phi_points, endpoint=False)
     x = np.repeat(np.cos(thetas / 2.0), grid.phi_points)
     y = (np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)[None, :]).ravel()
+    for array in (thetas, phis, x, y):
+        array.flags.writeable = False
     return thetas, phis, x, y
 
 
@@ -231,6 +240,13 @@ def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 # cos^2 half by about _CAP_GUARD sin(2 half), and by _CAP_GUARD^2 = 1e-14 at tol 0, far
 # over the ~1e-16 rounding of |<w|x>|^2; at 0, pairs on a pass threshold are lost.
 _CAP_GUARD = 1e-7
+
+# Rounding allowance added to tol in each eigen-window radius.  The grid's float checks can
+# pass a pair whose exact margins miss tol by some 1e-15, and the closed-form eigenvectors
+# are rounded too.  The radius grows with the square root of the slack, so at tol 0 this
+# still keeps strategies within about 9e-7 / |lambda| of an eigenvector; at 0, an exact
+# equilibrium planted on a grid pair is lost.
+_EIGEN_GUARD = 1e-13
 
 
 def _payoff(achieved_sq: np.ndarray) -> np.ndarray:
@@ -243,51 +259,98 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return span, np.arange(span.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _cap(a, b, best, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centre (beta, a conj(b)) and half-angle of each deviator's strategies within tol of best.
+def _eigenvectors(k: list) -> tuple[float, tuple[complex, complex], tuple[complex, complex]]:
+    """|lambda| and the two eigenvectors, unnormalized, of the 2x2 matrix k (nested lists), in closed form.
 
-    A deviator with coefficient pair (a, b) reaches best |<w|x>| at x, where the best response
-    w = conj(a, b) / best lies at theta/2 = beta = atan2(|b|, |a|) and phi* = arg(a conj(b)),
-    an angle callers take only where they need it.  So those strategies form one cap
-    |<w|x>| >= cos(half), half = arccos((best - tol) / best) in spinor angle, pi/2 (the
-    whole sphere) when best is 0, plus _CAP_GUARD.
+    k's traceless part [[p, u], [v, -p]] has k's eigenvectors and the eigenvalues +-lambda,
+    lambda^2 = p^2 + u v.  They are the null vectors (p + lambda, v) of k - lambda I and
+    (u, -(p + lambda)) of k + lambda I, with lambda's sign taken so that p + lambda does not
+    cancel: |p + lambda|^2 >= |p|^2 + |lambda|^2, so neither vector is 0 when lambda is not.
+    """
+    (k00, k01), (k10, k11) = k
+    p = (k00 - k11) / 2
+    lam = cmath.sqrt(p * p + k01 * k10)
+    s = max(p + lam, p - lam, key=abs)
+    return abs(lam), (s, k10), (k01, -s)
+
+
+def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, grid: GridSpec) -> list[np.ndarray]:
+    """Each player's grid strategies, in grid order, that a pair passing both checks at slack tol can hold.
+
+    At such a pair, |(K - cI) a| <= eta for K = conj(M1) M2^T and some scalar c, with
+    eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2)) and si >= |Mi|_2 (README, "Eigen windows").
+    K's eigenvalues are +-lambda about tr K / 2, and c lies at least |lambda| from one of
+    them, so a lies within r = eta / |lambda| of the other's eigenvector e:
+    sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with K' = conj(M2^T) M1.  Those
+    strategies form a cap of half-angle asin(r) around e, so only its rows are tested.
+    A player whose radius reaches 1, as in every game with det M1 det M2 = 0 (lambda = 0),
+    keeps every strategy.
+    """
+    thetas, _, x, y = _grid_amplitudes(grid)
+    per_row = grid.phi_points
+    norm1, norm2 = (math.sqrt(np.vdot(m, m).real) for m in (m1, m2))  # Frobenius norms bound the spectral ones
+    eta = math.sqrt(2.0 * (tol + _EIGEN_GUARD) * norm1 * norm2) * (math.sqrt(norm1) + math.sqrt(norm2))
+    sets = []
+    for k in (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1):
+        lam, *vectors = _eigenvectors(k.tolist())
+        near = np.full(x.size, eta >= lam)
+        if eta < lam:
+            radius = eta / lam
+            for v0, v1 in vectors:
+                first, count = _cap_rows(math.atan2(abs(v1), abs(v0)), math.asin(radius) + _CAP_GUARD, thetas.size)
+                rows = slice(first * per_row, (first + max(count, 0)) * per_row)
+                # sqrt(1 - |<v|s>|^2) |v| = |<v_perp|s>| = |v0 y - v1 x|
+                near[rows] |= np.abs(v0 * y[rows] - v1 * x[rows]) <= radius * math.hypot(abs(v0), abs(v1))
+        near[1:per_row] = near[x.size - per_row + 1 :] = False  # a pole is its phi = 0 point alone
+        sets.append(np.flatnonzero(near))
+    return sets
+
+
+def _cap_rows(beta, half, theta_points: int):
+    """First grid row and row count of each cap of centre theta/2 = beta and half-angle half: the rows with |theta/2 - beta| <= half."""
+    step = math.pi / (2 * (theta_points - 1))  # theta/2 between rows
+    first = np.maximum(np.ceil((beta - half) / step), 0).astype(np.int64)
+    return first, np.minimum(np.floor((beta + half) / step), theta_points - 1).astype(np.int64) - first + 1
+
+
+def _cap(abs_a: np.ndarray, abs_b: np.ndarray, best: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centre theta/2 and half-angle of each deviator's cap of strategies within tol of best.
+
+    A deviator with coefficient pair (a, b), of moduli abs_a and abs_b, reaches best |<w|x>|
+    at x, where the best response w = conj(a, b) / best lies at theta/2 = beta =
+    atan2(|b|, |a|) and phi* = arg(a conj(b)), which only player one's windows read.  So
+    those strategies form one cap |<w|x>| >= cos(half), half = arccos((best - tol) / best)
+    in spinor angle, pi/2 (the whole sphere) when best is 0, plus _CAP_GUARD.
     """
     reach = np.divide(np.maximum(best - tol, 0.0), best, out=np.zeros_like(best), where=best > 0)
-    return np.arctan2(np.abs(b), np.abs(a)), a * np.conj(b), np.arccos(reach) + _CAP_GUARD
+    return np.arctan2(abs_b, abs_a), np.arccos(reach) + _CAP_GUARD
 
 
-def _window_pairs(thetas: np.ndarray, per_row: int, strategies: np.ndarray, cap1, cap2) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) of grid strategies that the best-response caps leave to check.
+def _window_pairs(thetas: np.ndarray, per_row: int, set1: np.ndarray, set2: np.ndarray, cap1, cap2) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of player one's strategies set1 and player two's set2 that the best-response caps leave to check.
 
-    cap1 and cap2 are each player's _cap against every strategy in
-    strategies.  i ranges over the rows of player one's cap against j,
-    |theta/2 - beta| <= half, cut to the rows on which some i has j's row in
-    player two's cap, and on each non-pole row over the cap's phi-chord.
-    There, with c = cos(theta/2), s = sin(theta/2), |<w|x>|^2 = c^2 cos^2 beta
+    cap1 is player one's _cap against each strategy of set2 with its centre phi*, and cap2
+    player two's _cap against each strategy of set1.  i ranges over the rows of player one's
+    cap against j, |theta/2 - beta| <= half, cut to the rows on which some i of set1 has j's
+    row in player two's cap, and on each non-pole row over the cap's phi-chord; an i outside
+    set1 is dropped.  There, with c = cos(theta/2), s = sin(theta/2), |<w|x>|^2 = c^2 cos^2 beta
     + s^2 sin^2 beta + 2cs cos(beta) sin(beta) cos(phi - phi*).  A row whose
     phi term is 0, or in a cap of half past pi/2, is taken whole.
     """
-    row = strategies // per_row
-
-    def rows(beta, half):  # first row and row count of each cap
-        step = math.pi / (2 * (thetas.size - 1))  # theta/2 between rows
-        first = np.maximum(np.ceil((beta - half) / step), 0).astype(np.int64)
-        return first, np.minimum(np.floor((beta + half) / step), thetas.size - 1).astype(np.int64) - first + 1
-
-    # reached[k, k2]: some i on row k has row k2 in player two's cap.
-    first, count = rows(cap2[0], cap2[2])
+    # reached[k, k2]: some i of set1 on row k has row k2 in player two's cap.
+    first, count = _cap_rows(*cap2, thetas.size)
     on, shape = count > 0, (thetas.size, thetas.size + 1)
-    start = np.ravel_multi_index((row[on], first[on]), shape)  # flat key of each cap's first row
+    start = np.ravel_multi_index((set1[on] // per_row, first[on]), shape)  # flat key of each cap's first row
     edges = np.bincount(start, minlength=shape[0] * shape[1]) - np.bincount(start + count[on], minlength=shape[0] * shape[1])
     reached = np.cumsum(edges.reshape(shape)[:, :-1], axis=1) > 0
 
     # Each (row k of i, j) in player one's cap of j, where player two's caps reach.
-    span, k = _spans(*rows(cap1[0], cap1[2]))
-    keep = reached[k, row[span]]
+    beta, half, centre = cap1  # trig once per strategy, gathered to each of its spans
+    span, k = _spans(*_cap_rows(beta, half, thetas.size))
+    keep = reached[k, set2[span] // per_row]
     span, k = span[keep], k[keep]
-    beta, phase, half = cap1  # trig once per strategy, gathered to each of its spans
-    per_strategy = np.cos(beta), np.sin(beta), np.cos(half) ** 2, half, np.angle(phase)
-    j, (cos_beta, sin_beta, cos_sq_half, half, centre) = strategies[span], (v[span] for v in per_strategy)
+    per_strategy = np.cos(beta), np.sin(beta), np.cos(half) ** 2, half, centre
+    j, (cos_beta, sin_beta, cos_sq_half, half, centre) = set2[span], (v[span] for v in per_strategy)
 
     c, s = np.cos(thetas / 2.0)[k], np.sin(thetas / 2.0)[k]
     cross = 2.0 * c * s * cos_beta * sin_beta
@@ -301,27 +364,38 @@ def _window_pairs(thetas: np.ndarray, per_row: int, strategies: np.ndarray, cap1
     pole = (k == 0) | (k == thetas.size - 1)  # a pole is its phi = 0 point alone
     first[pole], count[pole] = 0, 1
     pair, col = _spans(first, count)
-    return k[pair] * per_row + col % per_row, j[pair]
+    i, j = k[pair] * per_row + col % per_row, j[pair]
+    if set1.size == (thetas.size - 2) * per_row + 2:  # set1 holds every strategy, so no i lies outside it
+        return i, j
+    inside = np.zeros(thetas.size * per_row, bool)
+    inside[set1] = True
+    inside = inside[i]
+    return i[inside], j[inside]
 
 
 def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair indices i*n + j and payoff angles of passing grid pairs, in grid order.
 
-    A deviator passes only near their best response, so the exact checks
-    run only on the pairs of grid strategies in _window_pairs' windows.
+    A deviator passes only near their best response, and in a game with det M1 det M2 != 0
+    only near an eigenvector (_strategy_sets), so the exact checks run only on the pairs of
+    those strategies in _window_pairs' windows.
     """
     thetas, _, x, y = _grid_amplitudes(grid)
     n, per_row = x.size, grid.phi_points
     m1, m2 = _target_matrices(g)
+    set1, set2 = _strategy_sets(m1, m2, tol, grid)
+    if not (set1.size and set2.size):
+        return np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
 
     # Each player's coefficient pair and best value against every opposing grid strategy.
     a1, b1 = _contract(m1, x, y)
     a2, b2 = _contract(m2.T, x, y)
-    best1, best2 = np.hypot(np.abs(a1), np.abs(b1)), np.hypot(np.abs(a2), np.abs(b2))
+    abs_a1, abs_b1, abs_a2, abs_b2 = np.abs(a1), np.abs(b1), np.abs(a2), np.abs(b2)
+    best1, best2 = np.hypot(abs_a1, abs_b1), np.hypot(abs_a2, abs_b2)
 
-    strategies = np.r_[0, per_row : n - per_row + 1]
-    caps = (_cap(a[strategies], b[strategies], best[strategies], tol) for a, b, best in ((a1, b1, best1), (a2, b2, best2)))
-    i, j = _window_pairs(thetas, per_row, strategies, *caps)
+    cap1 = (*_cap(abs_a1[set2], abs_b1[set2], best1[set2], tol), np.angle(a1[set2] * np.conj(b1[set2])))
+    cap2 = _cap(abs_a2[set1], abs_b2[set1], best2[set1], tol)
+    i, j = _window_pairs(thetas, per_row, set1, set2, cap1, cap2)
     achieved1 = np.abs(x[i] * a1[j] + y[i] * b1[j])
     achieved2 = np.abs(a2[i] * x[j] + b2[i] * y[j])
     ok = (achieved1 >= best1[j] - tol) & (achieved2 >= best2[i] - tol)

@@ -103,6 +103,20 @@ def stratum_game(rng: np.random.Generator, stratum: str) -> QuantumGame:
     return QuantumGame(GameUnitary(rows), PreferenceProfile(t1, t2))
 
 
+def perturbed_game(rng: np.random.Generator, stratum: str, eps: float) -> QuantumGame:
+    """e^{i eps H} G for a stratum_game G and a random Hermitian H of spectral norm 1.
+
+    Each row of U moves by at most eps, so a degenerate G becomes a rank-(2, 2) game at its
+    stratum's edge: a rank-1 M gains a |det M| of order eps, and from "1,1 K nilpotent" K's
+    two eigenvectors lie about sqrt(eps) apart, so 1 - |<e+|e->| is of order eps.
+    """
+    g = stratum_game(rng, stratum)
+    w = _gaussian(rng, (4, 4))
+    values, vectors = np.linalg.eigh(w + w.conj().T)
+    turn = (vectors * np.exp(1j * eps * values / np.max(np.abs(values)))) @ vectors.conj().T
+    return QuantumGame(GameUnitary(turn @ g.u.mat), g.prefs)
+
+
 def certificate_fields(cert) -> tuple:
     """A certificate's fields after play, as qgame.equilibria._certify gives each play's: the witness as its vector."""
     witness = None if cert.witness is None else cert.witness.vec

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import STRATA, certificate_table, planted_game, stratum_game
+from helpers import STRATA, certificate_table, perturbed_game, planted_game, stratum_game
 from oracles import (
     certificate_bits,
     dense_candidate_pairs,
@@ -689,6 +689,93 @@ def test_pruned_scan_matches_dense_oracle_on_random_games():
     assert found >= 6  # the loose slack admits candidates on most random games
 
 
+def eigen_sets(g, grid, tol):
+    """_strategy_sets' two sets for g at the grid and tol, and how many grid strategies there are."""
+    return equilibria._strategy_sets(*equilibria._target_matrices(g), tol, grid), (grid.theta_points - 2) * grid.phi_points + 2
+
+
+def edge_games():
+    """Two games of each stratum, and two e^{i eps H} G of each degenerate stratum per eps from 1e-2 to 1e-14."""
+    rng = np.random.default_rng(137)
+    games = [stratum_game(rng, stratum) for stratum in STRATA for _ in range(2)]
+    return games + [perturbed_game(rng, stratum, eps) for stratum in STRATA[1:] for eps in (1e-2, 1e-6, 1e-10, 1e-14) for _ in range(2)]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9, 1e-2])
+def test_pruned_scan_matches_dense_oracle_at_the_strata_edges(tol):
+    """On every stratum and near each degenerate one the scan keeps the dense oracle's pairs, bit for bit.
+
+    These games put the eigen-window radius on both sides of 1 at every tol: some keep a
+    proper subset of player one's strategies, and some keep them all.
+    """
+    grid = GridSpec(13, 24)
+    pruned = []
+    for g in edge_games():
+        assert_same_representatives(g, grid, tol)
+        (set1, _), count = eigen_sets(g, grid, tol)
+        pruned.append(set1.size < count)
+    assert any(pruned) and not all(pruned)
+
+
+def test_closed_form_eigenvectors_hold_at_the_strata_edges():
+    """_eigenvectors' two vectors of K and of K' are eigenvectors to rounding, on every stratum and near each degenerate one.
+
+    |v0 (Kv)1 - v1 (Kv)0| / |v|^2 is the part of Kv off v's line, here relative to |K|.
+    """
+    for g in edge_games():
+        m1, m2 = equilibria._target_matrices(g)
+        for k in (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1):
+            _, *vectors = equilibria._eigenvectors(k.tolist())
+            for v in map(np.array, vectors):
+                kv = k @ v
+                assert abs(v[0] * kv[1] - v[1] * kv[0]) <= 1e-15 * np.vdot(v, v).real * np.linalg.norm(k)
+
+
+def test_passing_pairs_lie_within_the_eigen_radius():
+    """Each dense-oracle pair of a rank-(2, 2) game lies within r = eta / |lambda| of an eigenvector: a of K's, b of K''s.
+
+    K = conj(M1) M2^T, K' = conj(M2^T) M1, eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2)) with
+    si = |Mi|_2, and |lambda|^2 = |det K|, with np.linalg.eig's eigenvectors and no rounding
+    allowance.  The distance of s from e is sqrt(1 - |<e|s>|^2) = |<e_perp|s>|.  Each pair is
+    also in _strategy_sets' sets, and some pair comes past a fifth of r, so the bound is not slack.
+    """
+    grid = GridSpec(13, 24)
+    _, _, x, y = equilibria._grid_amplitudes(grid)
+    rng = np.random.default_rng(139)
+    games = [QuantumGame(random_unitary(rng), random_prefs(rng)) for _ in range(12)]
+    games += [planted_game(rng, grid)[0] for _ in range(12)]
+    games += [stratum_game(rng, "2,2") for _ in range(12)]
+    worst = 0.0
+    for g in games:
+        m1, m2 = equilibria._target_matrices(g)
+        s1, s2 = np.linalg.norm(m1, 2), np.linalg.norm(m2, 2)
+        for tol in (1e-9, 1e-6, 1e-4, 1e-2):
+            i, j = np.divmod(dense_candidate_pairs(g, grid, tol)[0], x.size)
+            eta = math.sqrt(2.0 * tol * s1 * s2) * (math.sqrt(s1) + math.sqrt(s2))
+            for k, played in ((np.conj(m1) @ m2.T, i), (np.conj(m2.T) @ m1, j)):
+                e = np.linalg.eig(k)[1]  # unit eigenvectors as columns
+                distance = np.min(np.abs(e[0][:, None] * y[played] - e[1][:, None] * x[played]), axis=0)
+                worst = max(worst, np.max(distance, initial=0.0) / (eta / math.sqrt(abs(np.linalg.det(k)))))
+            (set1, set2), _ = eigen_sets(g, grid, tol)
+            assert np.isin(i, set1).all() and np.isin(j, set2).all()
+    assert 0.2 < worst <= 1.0
+
+
+def test_haar_scans_never_reach_the_windows(monkeypatch):
+    """Regression guard: at 41x80 and the default tol, a Haar game's scan ends before any cap is built.
+
+    Its eigen-window radius, some 1e-4, leaves at least one player without a grid strategy.
+    """
+
+    def unreached(*args):
+        raise AssertionError("_window_pairs was reached")
+
+    monkeypatch.setattr(equilibria, "_window_pairs", unreached)
+    rng = np.random.default_rng(149)
+    for _ in range(72):
+        assert equilibria._candidate_pairs(QuantumGame(random_unitary(rng), random_prefs(rng)), GridSpec(41, 80), TOL.equilibrium)[0].size == 0
+
+
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
 def test_windows_keep_every_passing_pair_on_random_games(tol):
     rng = np.random.default_rng(83)
@@ -786,9 +873,9 @@ def test_threshold_pairs_are_lost_without_a_windows_guards(monkeypatch, guards):
     """
     guard, window_pairs = equilibria._CAP_GUARD, equilibria._window_pairs
 
-    def one_guarded(thetas, per_row, strategies, *caps):
-        caps = [(beta, phase, half + guard) if kept else (beta, phase, half) for kept, (beta, phase, half) in zip(guards, caps)]
-        return window_pairs(thetas, per_row, strategies, *caps)
+    def one_guarded(thetas, per_row, set1, set2, *caps):
+        caps = [(beta, half + guard, *centre) if kept else (beta, half, *centre) for kept, (beta, half, *centre) in zip(guards, caps)]
+        return window_pairs(thetas, per_row, set1, set2, *caps)
 
     monkeypatch.setattr(equilibria, "_CAP_GUARD", 0.0)
     monkeypatch.setattr(equilibria, "_window_pairs", one_guarded)
