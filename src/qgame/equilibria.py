@@ -15,8 +15,6 @@ value is attained whenever a certificate reports equilibrium.
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -220,19 +218,12 @@ def _certificate(p: Play, fields: tuple) -> EquilibriumCertificate:
     return EquilibriumCertificate(p, *fields) if fields[7] is None else EquilibriumCertificate(p, *fields[:7], QubitState(fields[7]), fields[8])
 
 
-@functools.lru_cache(maxsize=1)
 def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's thetas and phis, and its flattened amplitude arrays (x, y) in theta-major order.
-
-    The last grid's arrays are kept, so a search, and every later search on the same grid,
-    builds them once.  Every caller shares them, so they are read-only.
-    """
+    """Flattened amplitude arrays (x, y) over the grid, theta-major order."""
     thetas = np.linspace(0.0, math.pi, grid.theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, grid.phi_points, endpoint=False)
     x = np.repeat(np.cos(thetas / 2.0), grid.phi_points)
     y = (np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)[None, :]).ravel()
-    for array in (thetas, phis, x, y):
-        array.flags.writeable = False
     return thetas, phis, x, y
 
 
@@ -269,27 +260,27 @@ def _eigenvectors(k: list) -> tuple[float, tuple[complex, complex], tuple[comple
     """
     (k00, k01), (k10, k11) = k
     p = (k00 - k11) / 2
-    lam = cmath.sqrt(p * p + k01 * k10)
+    lam = complex(np.sqrt(p * p + k01 * k10))  # not cmath.sqrt: importing cmath loads one more shared library
     s = max(p + lam, p - lam, key=abs)
     return abs(lam), (s, k10), (k01, -s)
 
 
-def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, grid: GridSpec) -> list[np.ndarray]:
+def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, thetas: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """Each player's grid strategies, in grid order, that a pair passing both checks at slack tol can hold.
 
-    At such a pair, |(K - cI) a| <= eta for K = conj(M1) M2^T and some scalar c, with
-    eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2)) and si >= |Mi|_2 (README, "Eigen windows").
-    K's eigenvalues are +-lambda about tr K / 2, and c lies at least |lambda| from one of
-    them, so a lies within r = eta / |lambda| of the other's eigenvector e:
-    sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with K' = conj(M2^T) M1.  Those
-    strategies form a cap of half-angle asin(r) around e, so only its rows are tested.
-    A player whose radius reaches 1, as in every game with det M1 det M2 = 0 (lambda = 0),
-    keeps every strategy.
+    thetas, x and y are _grid_amplitudes' arrays.  At such a pair, |(K - cI) a| <= eta for
+    K = conj(M1) M2^T and some scalar c, with eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2))
+    and si = |Mi|_2 (README, "Eigen windows").  K's eigenvalues are +-lambda about tr K / 2,
+    and c lies at least |lambda| from one of them, so a lies within r = eta / |lambda| of the
+    other's eigenvector e: sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with
+    K' = conj(M2^T) M1.  Those strategies form a cap of half-angle asin(r) around e, so only
+    its rows are tested.  A player whose radius reaches 1, as in every game with
+    det M1 det M2 = 0 (lambda = 0), keeps every strategy.
     """
-    thetas, _, x, y = _grid_amplitudes(grid)
-    per_row = grid.phi_points
-    norm1, norm2 = (math.sqrt(np.vdot(m, m).real) for m in (m1, m2))  # Frobenius norms bound the spectral ones
-    eta = math.sqrt(2.0 * (tol + _EIGEN_GUARD) * norm1 * norm2) * (math.sqrt(norm1) + math.sqrt(norm2))
+    per_row = x.size // thetas.size
+    # si <= |Mi|_F, the norm of a row of U.  GameUnitary holds |U^H U - I| entrywise within
+    # TOL.unitarity, so |U^H U - I|_2 <= 4 TOL.unitarity and si <= 1 + 2 TOL.unitarity.
+    eta = 2.0 * math.sqrt(2.0 * (tol + _EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)
     sets = []
     for k in (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1):
         lam, *vectors = _eigenvectors(k.tolist())
@@ -326,31 +317,34 @@ def _cap(abs_a: np.ndarray, abs_b: np.ndarray, best: np.ndarray, tol: float) -> 
     return np.arctan2(abs_b, abs_a), np.arccos(reach) + _CAP_GUARD
 
 
-def _window_pairs(thetas: np.ndarray, per_row: int, set1: np.ndarray, set2: np.ndarray, cap1, cap2) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) of player one's strategies set1 and player two's set2 that the best-response caps leave to check.
+def _window_pairs(thetas: np.ndarray, per_row: int, strategies: np.ndarray, cap1, cap2) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of grid strategies that the best-response caps leave to check.
 
-    cap1 is player one's _cap against each strategy of set2 with its centre phi*, and cap2
-    player two's _cap against each strategy of set1.  i ranges over the rows of player one's
-    cap against j, |theta/2 - beta| <= half, cut to the rows on which some i of set1 has j's
-    row in player two's cap, and on each non-pole row over the cap's phi-chord; an i outside
-    set1 is dropped.  There, with c = cos(theta/2), s = sin(theta/2), |<w|x>|^2 = c^2 cos^2 beta
-    + s^2 sin^2 beta + 2cs cos(beta) sin(beta) cos(phi - phi*).  A row whose
-    phi term is 0, or in a cap of half past pi/2, is taken whole.
+    cap1 and cap2 are each player's _cap against every strategy in
+    strategies, cap1 with its centre phi* as a third array.  i ranges over
+    the rows of player one's cap against j, |theta/2 - beta| <= half, cut to
+    the rows on which some i has j's row in player two's cap, and on each
+    non-pole row over the cap's phi-chord.  There, with c = cos(theta/2),
+    s = sin(theta/2), |<w|x>|^2 = c^2 cos^2 beta + s^2 sin^2 beta
+    + 2cs cos(beta) sin(beta) cos(phi - phi*).  A row whose phi term is 0, or
+    in a cap of half past pi/2, is taken whole.
     """
-    # reached[k, k2]: some i of set1 on row k has row k2 in player two's cap.
+    row = strategies // per_row
+
+    # reached[k, k2]: some i on row k has row k2 in player two's cap.
     first, count = _cap_rows(*cap2, thetas.size)
     on, shape = count > 0, (thetas.size, thetas.size + 1)
-    start = np.ravel_multi_index((set1[on] // per_row, first[on]), shape)  # flat key of each cap's first row
+    start = np.ravel_multi_index((row[on], first[on]), shape)  # flat key of each cap's first row
     edges = np.bincount(start, minlength=shape[0] * shape[1]) - np.bincount(start + count[on], minlength=shape[0] * shape[1])
     reached = np.cumsum(edges.reshape(shape)[:, :-1], axis=1) > 0
 
     # Each (row k of i, j) in player one's cap of j, where player two's caps reach.
     beta, half, centre = cap1  # trig once per strategy, gathered to each of its spans
     span, k = _spans(*_cap_rows(beta, half, thetas.size))
-    keep = reached[k, set2[span] // per_row]
+    keep = reached[k, row[span]]
     span, k = span[keep], k[keep]
     per_strategy = np.cos(beta), np.sin(beta), np.cos(half) ** 2, half, centre
-    j, (cos_beta, sin_beta, cos_sq_half, half, centre) = set2[span], (v[span] for v in per_strategy)
+    j, (cos_beta, sin_beta, cos_sq_half, half, centre) = strategies[span], (v[span] for v in per_strategy)
 
     c, s = np.cos(thetas / 2.0)[k], np.sin(thetas / 2.0)[k]
     cross = 2.0 * c * s * cos_beta * sin_beta
@@ -364,27 +358,23 @@ def _window_pairs(thetas: np.ndarray, per_row: int, set1: np.ndarray, set2: np.n
     pole = (k == 0) | (k == thetas.size - 1)  # a pole is its phi = 0 point alone
     first[pole], count[pole] = 0, 1
     pair, col = _spans(first, count)
-    i, j = k[pair] * per_row + col % per_row, j[pair]
-    if set1.size == (thetas.size - 2) * per_row + 2:  # set1 holds every strategy, so no i lies outside it
-        return i, j
-    inside = np.zeros(thetas.size * per_row, bool)
-    inside[set1] = True
-    inside = inside[i]
-    return i[inside], j[inside]
+    return k[pair] * per_row + col % per_row, j[pair]
 
 
-def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float, amplitudes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair indices i*n + j and payoff angles of passing grid pairs, in grid order.
 
-    A deviator passes only near their best response, and in a game with det M1 det M2 != 0
-    only near an eigenvector (_strategy_sets), so the exact checks run only on the pairs of
-    those strategies in _window_pairs' windows.
+    A deviator passes only near their best response, so the exact checks
+    run only on the pairs of grid strategies in _window_pairs' windows.  A
+    passing pair also lies near K's eigenvectors (_strategy_sets), so when
+    one player has no grid strategy there, as on Haar-random games at
+    tol 1e-9, no cap is built.  amplitudes is _grid_amplitudes(grid), built
+    once per search by the caller.
     """
-    thetas, _, x, y = _grid_amplitudes(grid)
+    thetas, _, x, y = amplitudes
     n, per_row = x.size, grid.phi_points
     m1, m2 = _target_matrices(g)
-    set1, set2 = _strategy_sets(m1, m2, tol, grid)
-    if not (set1.size and set2.size):
+    if not all(kept.size for kept in _strategy_sets(m1, m2, tol, thetas, x, y)):
         return np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
 
     # Each player's coefficient pair and best value against every opposing grid strategy.
@@ -393,9 +383,10 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     abs_a1, abs_b1, abs_a2, abs_b2 = np.abs(a1), np.abs(b1), np.abs(a2), np.abs(b2)
     best1, best2 = np.hypot(abs_a1, abs_b1), np.hypot(abs_a2, abs_b2)
 
-    cap1 = (*_cap(abs_a1[set2], abs_b1[set2], best1[set2], tol), np.angle(a1[set2] * np.conj(b1[set2])))
-    cap2 = _cap(abs_a2[set1], abs_b2[set1], best2[set1], tol)
-    i, j = _window_pairs(thetas, per_row, set1, set2, cap1, cap2)
+    strategies = np.r_[0, per_row : n - per_row + 1]
+    cap1 = (*_cap(abs_a1[strategies], abs_b1[strategies], best1[strategies], tol), np.angle(a1[strategies] * np.conj(b1[strategies])))
+    cap2 = _cap(abs_a2[strategies], abs_b2[strategies], best2[strategies], tol)
+    i, j = _window_pairs(thetas, per_row, strategies, cap1, cap2)
     achieved1 = np.abs(x[i] * a1[j] + y[i] * b1[j])
     achieved2 = np.abs(a2[i] * x[j] + b2[i] * y[j])
     ok = (achieved1 >= best1[j] - tol) & (achieved2 >= best2[i] - tol)
@@ -440,11 +431,12 @@ def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> lis
 def _search_rows(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """search_equilibria's plays as checked strategy rows a and b, and _certify's fields of each."""
     _check_tol(tol)
-    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
+    amplitudes = _grid_amplitudes(grid)
+    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol, amplitudes)
     if not pair_index.size:  # no candidates, as on generic games at tol 1e-9: skip the empty-array set-up
         return np.zeros((0, 2), complex), np.zeros((0, 2), complex), []
     i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], grid.theta_points * grid.phi_points)
-    _, _, x, y = _grid_amplitudes(grid)
+    _, _, x, y = amplitudes
     a, b = (_unit_rows(np.column_stack([x[k], y[k]]), 2, "qubit state") for k in (i, j))
     return a, b, _certify(g, a.tolist(), b.tolist(), tol)
 

@@ -409,7 +409,7 @@ def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
     """The pruned scan, bucketed dedup and batched recertification change no byte of analyze's output."""
     runs = [["analyze", gate, "--grid-theta", "21", "--grid-phi", "40"] + fmt for fmt in ([], ["--csv"])]
     fast = [run_cli(args) for args in runs]
-    monkeypatch.setattr(equilibria, "_candidate_pairs", dense_candidate_pairs)
+    monkeypatch.setattr(equilibria, "_candidate_pairs", lambda g, grid, tol, amplitudes: dense_candidate_pairs(g, grid, tol))
     monkeypatch.setattr(equilibria, "_dedup_payoffs", quadratic_dedup)
     monkeypatch.setattr(equilibria, "_certify", per_play_certify)
     dense = [run_cli(args) for args in runs]

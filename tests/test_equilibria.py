@@ -649,7 +649,7 @@ def scans(g, grid, tol):
 
     No pair the scan returns names a pole copy.
     """
-    got = equilibria._candidate_pairs(g, grid, tol)
+    got = equilibria._candidate_pairs(g, grid, tol, equilibria._grid_amplitudes(grid))
     assert not np.isin(np.divmod(got[0], grid.theta_points * grid.phi_points), pole_copies(grid)).any()
     return dense_candidate_pairs(g, grid, tol), got
 
@@ -691,7 +691,8 @@ def test_pruned_scan_matches_dense_oracle_on_random_games():
 
 def eigen_sets(g, grid, tol):
     """_strategy_sets' two sets for g at the grid and tol, and how many grid strategies there are."""
-    return equilibria._strategy_sets(*equilibria._target_matrices(g), tol, grid), (grid.theta_points - 2) * grid.phi_points + 2
+    thetas, _, x, y = equilibria._grid_amplitudes(grid)
+    return equilibria._strategy_sets(*equilibria._target_matrices(g), tol, thetas, x, y), (grid.theta_points - 2) * grid.phi_points + 2
 
 
 def edge_games():
@@ -706,7 +707,8 @@ def test_pruned_scan_matches_dense_oracle_at_the_strata_edges(tol):
     """On every stratum and near each degenerate one the scan keeps the dense oracle's pairs, bit for bit.
 
     These games put the eigen-window radius on both sides of 1 at every tol: some keep a
-    proper subset of player one's strategies, and some keep them all.
+    proper subset of player one's strategies, and some keep them all.  At tol 1e-9 and below
+    some leave a player no strategy, and there the scan returns no pair before any cap.
     """
     grid = GridSpec(13, 24)
     pruned = []
@@ -772,8 +774,11 @@ def test_haar_scans_never_reach_the_windows(monkeypatch):
 
     monkeypatch.setattr(equilibria, "_window_pairs", unreached)
     rng = np.random.default_rng(149)
+    grid = GridSpec(41, 80)
+    amplitudes = equilibria._grid_amplitudes(grid)
     for _ in range(72):
-        assert equilibria._candidate_pairs(QuantumGame(random_unitary(rng), random_prefs(rng)), GridSpec(41, 80), TOL.equilibrium)[0].size == 0
+        g = QuantumGame(random_unitary(rng), random_prefs(rng))
+        assert equilibria._candidate_pairs(g, grid, TOL.equilibrium, amplitudes)[0].size == 0
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
@@ -873,9 +878,9 @@ def test_threshold_pairs_are_lost_without_a_windows_guards(monkeypatch, guards):
     """
     guard, window_pairs = equilibria._CAP_GUARD, equilibria._window_pairs
 
-    def one_guarded(thetas, per_row, set1, set2, *caps):
+    def one_guarded(thetas, per_row, strategies, *caps):
         caps = [(beta, half + guard, *centre) if kept else (beta, half, *centre) for kept, (beta, half, *centre) in zip(guards, caps)]
-        return window_pairs(thetas, per_row, set1, set2, *caps)
+        return window_pairs(thetas, per_row, strategies, *caps)
 
     monkeypatch.setattr(equilibria, "_CAP_GUARD", 0.0)
     monkeypatch.setattr(equilibria, "_window_pairs", one_guarded)
@@ -904,8 +909,9 @@ def test_library_scans_evaluate_few_pairs(monkeypatch):
         return i, j
 
     monkeypatch.setattr(equilibria, "_window_pairs", counted)
+    amplitudes = equilibria._grid_amplitudes(GridSpec())
     for name, entry in LIBRARY.items():
-        equilibria._candidate_pairs(QuantumGame(entry.unitary), GridSpec(), TOL.equilibrium)
+        equilibria._candidate_pairs(QuantumGame(entry.unitary), GridSpec(), TOL.equilibrium, amplitudes)
         assert sizes[-1] <= (20_000 if name == "bell_circuit" else 10_000), name
 
 
