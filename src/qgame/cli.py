@@ -25,7 +25,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,6 +35,8 @@ from .equilibria import (
     CASE_PAIRS,
     EquilibriumCertificate,
     GridSpec,
+    ResponseCoefficients,
+    _certify,
     _player_coefficients,
     _search_rows,
     feasibility_region,
@@ -262,21 +264,41 @@ def _emit_json(report, out_path: str | None) -> None:
     _emit(json.dumps(report, indent=2) + "\n", out_path)
 
 
-# A marker certificate's float k is 1e+1kk, which no other text of a certificate holds.
+def _float_texts(floats: list) -> list[str]:
+    """json.dumps's text of each of floats, a non-empty list of Python floats, from one repr of the list."""
+    joined = repr(floats)[1:-1]
+    texts = joined.split(", ")
+    if "n" in joined:  # nan or inf, which JSON spells otherwise
+        texts = [_JSON_FLOATS.get(text, text) for text in texts]
+    return texts
+
+
+def _coefficients_dict(c: ResponseCoefficients) -> dict:
+    """c's fields by name, in field order, as analyze's basis table and region write them."""
+    return {"p": c.p, "q": c.q, "p_prime": c.p_prime, "q_prime": c.q_prime}
+
+
+# A marker report's value k is the float 1e+1kk, which no other text of a marker report holds.
 _MARKER = re.compile(r"1e\+1(\d\d)")
 
 
 @functools.cache
-def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witness_player) -> tuple[str, operator.itemgetter]:
-    """%-template of _certificate_dict's text at a nesting indent, and a getter of its floats.
+def _marker_template(layout, indent: str, *key) -> tuple[str, operator.itemgetter]:
+    """%-template of json.dumps's text of the report layout(markers, *key) at a nesting indent, and a getter of its values.
 
-    The template is json.dumps's text of the dict of a marker certificate
-    whose floats are the markers, indented to the nesting level, with a %s
-    for each marker, so it has _certificate_dict's layout by construction.
-    The getter takes the floats a row of _certificate_floats fills in, in
-    the template's order.
+    markers[k] is the float 1e1kk, and layout places each of its values at a
+    marker.  The template is json.dumps's text of that report, indent=2,
+    indented to the nesting level, with a %s for each marker, so it has the
+    layout's text by construction.  The getter takes a report's values in
+    marker order and gives them in the template's order.
     """
-    m = [float(f"1e1{k:02d}") for k in range(18)]
+    markers = [float(f"1e1{k:02d}") for k in range(40)]  # as many as the largest layout, the report, holds
+    text = json.dumps(layout(markers, *key), indent=2).replace("\n", indent)
+    return _MARKER.sub("%s", text), operator.itemgetter(*map(int, _MARKER.findall(text)))
+
+
+def _certificate_markers(m: list, is_equilibrium: bool, witness: bool, witness_player) -> dict:
+    """_certificate_dict of a certificate of the given layout whose 18 floats are m[0:18], in _certificate_floats' order."""
 
     def state(k):
         return SimpleNamespace(vec=np.array([complex(m[k], m[k + 1]), complex(m[k + 2], m[k + 3])]))
@@ -293,8 +315,34 @@ def _certificate_template(indent: str, is_equilibrium: bool, witness: bool, witn
         is_equilibrium=is_equilibrium,
         witness_player=witness_player,
     )
-    text = json.dumps(_certificate_dict(marker), indent=2).replace("\n", indent)
-    return _MARKER.sub("%s", text), operator.itemgetter(*map(int, _MARKER.findall(text)))
+    return _certificate_dict(marker)
+
+
+def _analyze_markers(m: list) -> dict:
+    """analyze's JSON report whose values are m[0:40], in the order cmd_analyze lists them.
+
+    The gate's name, both preferences, the tolerance, both grid sizes, then
+    per basis play its rounded payoffs, achieved and coefficients, then the
+    equilibria and their count.
+    """
+    plays = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return {
+        "gate": m[0],
+        "preferences": [m[1], m[2]],
+        "tolerance": m[3],
+        "grid": {"theta_points": m[4], "phi_points": m[5]},
+        "canonical_plays": [
+            {
+                "play": f"(|{i}>, |{j}>)",
+                "payoffs": [m[k], m[k + 1]],
+                "achieved": [m[k + 2], m[k + 3]],
+                "coefficients": _coefficients_dict(ResponseCoefficients(*m[k + 4 : k + 8])),
+            }
+            for k, (i, j) in zip(range(6, 38, 8), plays)
+        ],
+        "equilibria": m[38],
+        "equilibrium_count": m[39],
+    }
 
 
 def _certificate_floats(a: np.ndarray, b: np.ndarray, rows: list[tuple]) -> np.ndarray:
@@ -322,15 +370,12 @@ def _certificates_text(a: np.ndarray, b: np.ndarray, rows: list[tuple], indent: 
         return "[]"
     floats = _certificate_floats(a, b, rows)
     distinct, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
-    joined = repr(distinct.view(float).tolist())[1:-1]
-    texts = joined.split(", ")
-    if "n" in joined:  # nan or inf, which JSON spells otherwise
-        texts = [_JSON_FLOATS.get(text, text) for text in texts]
+    texts = _float_texts(distinct.view(float).tolist())
     cells = np.array(texts, dtype=object)[inverse.reshape(floats.shape)].tolist()
     inner = indent + "  "
     templates, values = [], []
     for row, row_cells in zip(rows, cells):
-        template, fields = _certificate_template(inner, row[6], row[7] is not None, row[8])
+        template, fields = _marker_template(_certificate_markers, inner, row[6], row[7] is not None, row[8])
         templates.append(template)
         values += fields(row_cells)
     return "[" + inner + ("," + inner).join(templates) % tuple(values) + indent + "]"
@@ -343,31 +388,20 @@ def _certificates_text(a: np.ndarray, b: np.ndarray, rows: list[tuple], indent: 
 def cmd_analyze(args) -> int:
     """Payoff table and coefficients at the four basis plays, read from their certificates, then the grid search's certificates.
 
-    The JSON report is json.dumps(report, indent=2) byte for byte.
-    json.dumps writes the envelope; the equilibria list, nearly all of a
-    large report, is written from the search's rows, with no certificate or
-    dict: _certificates_text fills each one's cached template of the text of
-    _certificate_dict, with the floats of all formatted in one batch.  The
-    CSV rows are columns of the same float table, _certificate_floats.
+    The JSON report is json.dumps(report, indent=2) byte for byte, with no
+    report dict: it fills the cached template of _analyze_markers' text.
+    The basis table is one _certify pass over the four plays, with each
+    play's response_coefficients.  The gate's name fills its slot as
+    json.dumps(name), so it never meets a marker.  The equilibria list,
+    nearly all of a large report, is written from the search's rows, with
+    no certificate or dict: _certificates_text fills each one's cached
+    template of the text of _certificate_dict.  Each part's floats are
+    formatted in one batch.  The CSV rows are columns of the same float
+    table, _certificate_floats.
     """
     cfg = _config_from_args(args)
     name, unitary = _resolve_gate(args.gate)
     game = QuantumGame(unitary, cfg.prefs)
-    t1, t2 = cfg.prefs.player1_target, cfg.prefs.player2_target
-
-    canonical = []
-    for i, a in enumerate((KET0, KET1)):
-        for j, b in enumerate((KET0, KET1)):
-            cert = verify_equilibrium(game, Play(a, b), cfg.tolerance)
-            canonical.append(
-                {
-                    "play": f"(|{i}>, |{j}>)",
-                    "payoffs": [_round_angle(cert.payoff1), _round_angle(cert.payoff2)],
-                    "achieved": [cert.achieved1, cert.achieved2],
-                    "coefficients": asdict(response_coefficients(game, cert.play)),
-                }
-            )
-
     a, b, rows = _search_rows(game, GridSpec(cfg.grid_theta, cfg.grid_phi), cfg.tolerance)
 
     if cfg.output_format == "csv":
@@ -378,16 +412,16 @@ def cmd_analyze(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    report = {
-        "gate": name,
-        "preferences": [t1, t2],
-        "tolerance": cfg.tolerance,
-        "grid": {"theta_points": cfg.grid_theta, "phi_points": cfg.grid_phi},
-        "canonical_plays": canonical,
-    }
-    envelope = json.dumps(report, indent=2)[: -len("\n}")]
-    equilibria = _certificates_text(a, b, rows, "\n  ")
-    _emit(f'{envelope},\n  "equilibria": {equilibria},\n  "equilibrium_count": {len(rows)}\n}}\n', args.out)
+    plays = [Play(x, y) for x in (KET0, KET1) for y in (KET0, KET1)]
+    certified = _certify(game, [p.a.vec.tolist() for p in plays], [p.b.vec.tolist() for p in plays], cfg.tolerance)
+    floats = [cfg.tolerance]
+    for play, row in zip(plays, certified):
+        floats += [_round_angle(row[0]), _round_angle(row[1]), row[2], row[3], *_coefficients_dict(response_coefficients(game, play)).values()]
+    texts = _float_texts(floats)
+    values = [json.dumps(name), cfg.prefs.player1_target, cfg.prefs.player2_target, texts[0], cfg.grid_theta, cfg.grid_phi]
+    values += [*texts[1:], _certificates_text(a, b, rows, "\n  "), len(rows)]
+    template, fields = _marker_template(_analyze_markers, "\n")
+    _emit((template + "\n") % fields(values), args.out)  # one copy of a large report, not two
     return 0
 
 
@@ -456,7 +490,7 @@ def cmd_region(args) -> int:
         "gate": name,
         "case_pair": list(pair),
         "deviation": _state_pairs(deviation),
-        "coefficients": asdict(coeffs),
+        "coefficients": _coefficients_dict(coeffs),
         "players": players,
     }
     _emit_json(report, args.out)

@@ -265,8 +265,8 @@ def _eigenvectors(k: list) -> tuple[float, tuple[complex, complex], tuple[comple
     return abs(lam), (s, k10), (k01, -s)
 
 
-def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, thetas: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Each player's grid strategies, in grid order, that a pair passing both checks at slack tol can hold.
+def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, thetas: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Yield each player's grid strategies, in grid order, that a pair passing both checks at slack tol can hold, player one's first.
 
     thetas, x and y are _grid_amplitudes' arrays.  At such a pair, |(K - cI) a| <= eta for
     K = conj(M1) M2^T and some scalar c, with eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2))
@@ -275,14 +275,14 @@ def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, thetas: np.ndarra
     other's eigenvector e: sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with
     K' = conj(M2^T) M1.  Those strategies form a cap of half-angle asin(r) around e, so only
     its rows are tested.  A player whose radius reaches 1, as in every game with
-    det M1 det M2 = 0 (lambda = 0), keeps every strategy.
+    det M1 det M2 = 0 (lambda = 0), keeps every strategy.  The sets are yielded one at a
+    time, so a caller that stops at an empty first set never forms K' or its eigenvectors.
     """
     per_row = x.size // thetas.size
     # si <= |Mi|_F, the norm of a row of U.  GameUnitary holds |U^H U - I| entrywise within
     # TOL.unitarity, so |U^H U - I|_2 <= 4 TOL.unitarity and si <= 1 + 2 TOL.unitarity.
     eta = 2.0 * math.sqrt(2.0 * (tol + _EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)
-    sets = []
-    for k in (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1):
+    for k in (np.conj(left) @ right for left, right in ((m1, m2.T), (m2.T, m1))):  # K, then K' only when asked for
         lam, *vectors = _eigenvectors(k.tolist())
         near = np.full(x.size, eta >= lam)
         if eta < lam:
@@ -293,8 +293,7 @@ def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, thetas: np.ndarra
                 # sqrt(1 - |<v|s>|^2) |v| = |<v_perp|s>| = |v0 y - v1 x|
                 near[rows] |= np.abs(v0 * y[rows] - v1 * x[rows]) <= radius * math.hypot(abs(v0), abs(v1))
         near[1:per_row] = near[x.size - per_row + 1 :] = False  # a pole is its phi = 0 point alone
-        sets.append(np.flatnonzero(near))
-    return sets
+        yield np.flatnonzero(near)
 
 
 def _cap_rows(beta, half, theta_points: int):
@@ -368,7 +367,8 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float, amplitudes: tup
     run only on the pairs of grid strategies in _window_pairs' windows.  A
     passing pair also lies near K's eigenvectors (_strategy_sets), so when
     one player has no grid strategy there, as on Haar-random games at
-    tol 1e-9, no cap is built.  amplitudes is _grid_amplitudes(grid), built
+    tol 1e-9, no cap is built; when it is player one, K' is not formed
+    either.  amplitudes is _grid_amplitudes(grid), built
     once per search by the caller.
     """
     thetas, _, x, y = amplitudes

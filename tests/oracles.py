@@ -11,7 +11,9 @@ equilibrium search's two phases: every pair of grid strategies is
 tested, and the first payoff pair of each rounded cell is compared with
 every kept one.  The library's pruned scan must return the same passing
 pairs, and its bucketed dedup must keep the oracles' representatives,
-pair indices and payoff bits, bit for bit.
+pair indices and payoff bits, bit for bit.  dense_strategy_sets is the
+plain form of the scan's eigen-window sets: every grid strategy tested
+against both players' eigenvectors.
 
 scalar_verify_equilibrium is the per-play certification that
 verify_equilibria replaced: the two coefficient contractions M1 b and
@@ -123,6 +125,28 @@ def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, 
     index = np.concatenate(cand_index)
     keep = ~np.isin(np.divmod(index, n), pole_copies(grid)).any(axis=0)
     return index[keep], np.concatenate(cand_payoff1)[keep], np.concatenate(cand_payoff2)[keep]
+
+
+def dense_strategy_sets(g, grid, tol: float) -> list[np.ndarray]:
+    """Both players' eigen-window sets, K's and then K''s, with every grid strategy tested.
+
+    A strategy s is kept when it lies within r = eta / |lambda| of either
+    eigenvector v, |v0 y - v1 x| <= r |v|, as in _strategy_sets, which tests
+    only the rows of each vector's cap and forms K' only when asked for.
+    """
+    _, _, x, y = equilibria._grid_amplitudes(grid)
+    m1, m2 = equilibria._target_matrices(g)
+    eta = 2.0 * math.sqrt(2.0 * (tol + equilibria._EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)
+    strategy = ~np.isin(np.arange(x.size), pole_copies(grid))
+    sets = []
+    for k in (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1):
+        lam, *vectors = equilibria._eigenvectors(k.tolist())
+        near = np.full(x.size, eta >= lam)
+        if eta < lam:
+            for v0, v1 in vectors:
+                near |= np.abs(v0 * y - v1 * x) <= eta / lam * math.hypot(abs(v0), abs(v1))
+        sets.append(np.flatnonzero(near & strategy))
+    return sets
 
 
 def quadratic_dedup(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> list[int]:

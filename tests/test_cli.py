@@ -438,6 +438,58 @@ def test_analyze_random_gate_stdout_is_byte_identical(tmp_path, extra):
     assert code == 0 and out.splitlines()[1:] == rows
 
 
+ALL_PREFS = [(i, j) for i in range(4) for j in range(4) if i != j]
+# Pieces of gate names: JSON's escaped characters, control characters, non-ASCII text, lone
+# surrogates, and text like the report templates' own %-slots and markers.
+NAME_PIECES = ['"', "\\", "\x00", "\x1f", "\x7f", "é", "中", "\U0001f600", "\ud800", "\udfff", "%s", "%%", "1e+105"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.lists(st.one_of(st.sampled_from(NAME_PIECES), st.text(max_size=4)), max_size=6).map("".join),
+    gate=st.sampled_from(["haar", "cnot", "bell_circuit"]),
+    seed=st.integers(0, 2**32 - 1),
+    prefs=st.sampled_from(ALL_PREFS),
+    tol=st.sampled_from([5e-324, 1e-9, 1e-2]),
+    theta=st.integers(2, 13),
+    phi=st.integers(2, 24),
+)
+def test_analyze_report_head_reads_back_its_inputs_and_certificates(tmp_path_factory, name, gate, seed, prefs, tol, theta, phi):
+    """analyze's report is json.dumps's text, and its head holds the inputs, the basis plays' certificates and coefficients.
+
+    A Haar gate or a library gate's matrix, written to a gate file under an odd name.
+    """
+    unitary = random_unitary(np.random.default_rng(seed)) if gate == "haar" else LIBRARY[gate].unitary
+    path = tmp_path_factory.mktemp("gate") / "gate.json"
+    save_gate_file(path, name, unitary)
+    t1, t2 = prefs
+    code, out, err = run_cli(["analyze", str(path), "--prefs", f"{t1},{t2}", "--tol", repr(tol), "--grid-theta", str(theta), "--grid-phi", str(phi)])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert json.dumps(report, indent=2) + "\n" == out
+    game = QuantumGame(unitary, PreferenceProfile(t1, t2))
+    canonical = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cert = verify_equilibrium(game, Play((KET0, KET1)[i], (KET0, KET1)[j]), tol)
+        canonical.append(
+            {
+                "play": f"(|{i}>, |{j}>)",
+                "payoffs": [cli._round_angle(cert.payoff1), cli._round_angle(cert.payoff2)],
+                "achieved": [cert.achieved1, cert.achieved2],
+                "coefficients": dataclasses.asdict(response_coefficients(game, cert.play)),
+            }
+        )
+    head = {
+        "gate": name,
+        "preferences": [t1, t2],
+        "tolerance": tol,
+        "grid": {"theta_points": theta, "phi_points": phi},
+        "canonical_plays": canonical,
+    }
+    assert {key: report[key] for key in head} == head
+    assert report["equilibrium_count"] == len(report["equilibria"])
+
+
 def test_analyze_library_report_at_loose_tol_is_byte_identical():
     code, out, _ = run_cli(["analyze", "bell_mechanism", "--tol", "1e-2", "--grid-theta", "21", "--grid-phi", "40"])
     report = json.loads(out)

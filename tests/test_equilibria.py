@@ -12,6 +12,7 @@ from helpers import STRATA, certificate_table, perturbed_game, planted_game, str
 from oracles import (
     certificate_bits,
     dense_candidate_pairs,
+    dense_strategy_sets,
     grid_max_target_amplitude,
     pole_copies,
     quadratic_dedup,
@@ -779,6 +780,52 @@ def test_haar_scans_never_reach_the_windows(monkeypatch):
     for _ in range(72):
         g = QuantumGame(random_unitary(rng), random_prefs(rng))
         assert equilibria._candidate_pairs(g, grid, TOL.equilibrium, amplitudes)[0].size == 0
+
+
+def count_eigenvector_calls(monkeypatch) -> list:
+    """A list that gets one entry per _eigenvectors call from now on."""
+    calls = []
+    eigenvectors = equilibria._eigenvectors
+    monkeypatch.setattr(equilibria, "_eigenvectors", lambda k: calls.append(k) or eigenvectors(k))
+    return calls
+
+
+def test_analyze_random_searches_form_one_eigen_basis(monkeypatch):
+    """On the benchmark's 72 analyze_random inputs, player one's eigen-window set is empty, so no search forms K'.
+
+    Its six Haar gates, drawn from seed 13040748, at each preference pair, on the 41x80 grid at the default tol.
+    """
+    calls = count_eigenvector_calls(monkeypatch)
+    rng = np.random.default_rng(13040748)
+    for u in [random_unitary(rng) for _ in range(6)]:
+        for prefs in ALL_PREFS:
+            calls.clear()
+            assert equilibria._search_rows(QuantumGame(u, PreferenceProfile(*prefs)), GridSpec(41, 80), TOL.equilibrium)[2] == []
+            assert len(calls) == 1
+
+
+def test_scans_form_both_eigen_sets_only_past_a_non_empty_first_and_as_the_dense_oracle(monkeypatch):
+    """A scan forms K''s eigenvectors only when player one's set is non-empty, and both sets are dense_strategy_sets'.
+
+    On every stratum, near each degenerate one and on planted games, at tols from 0 to 1e-2:
+    some scans stop after player one's set, and some form both.
+    """
+    grid = GridSpec(13, 24)
+    amplitudes = equilibria._grid_amplitudes(grid)
+    rng = np.random.default_rng(151)
+    games = edge_games() + [planted_game(rng, grid)[0] for _ in range(12)]
+    calls = count_eigenvector_calls(monkeypatch)
+    formed = []
+    for g in games:
+        for tol in (0.0, 1e-15, 1e-9, 1e-2):
+            expected = dense_strategy_sets(g, grid, tol)
+            calls.clear()
+            equilibria._candidate_pairs(g, grid, tol, amplitudes)
+            formed.append(len(calls))
+            assert len(calls) == (2 if expected[0].size else 1)
+            (set1, set2), _ = eigen_sets(g, grid, tol)
+            assert [set1.tobytes(), set2.tobytes()] == [s.tobytes() for s in expected]
+    assert set(formed) == {1, 2}
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
