@@ -25,9 +25,8 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .equilibria import (
 from .game import Play, PreferenceProfile, QuantumGame, StrategyParams
 from .gates import LIBRARY, _read_json_file, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file, save_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
-from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState, _is_int
+from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState, _is_int, _wrap_rows
 
 CONFIG_ENV_VAR = "QGAME_CONFIG"
 
@@ -76,46 +75,35 @@ class RunConfig:
             raise ValueError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
 
 
-def load_run_config(env: dict | None = None) -> RunConfig:
-    """RunConfig from defaults, overridden by the QGAME_CONFIG file if set."""
-    env = os.environ if env is None else env
-    path = env.get(CONFIG_ENV_VAR)
-    if not path:
-        return RunConfig()
-    data = _read_json_file(path, "config file")
-    if not isinstance(data, dict):
-        raise QGameError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise QGameError(f"config file {path} has unknown keys: {', '.join(sorted(unknown))}")
-    kwargs = dict(data)
-    if "prefs" in kwargs:
-        kwargs["prefs"] = _prefs_profile(kwargs["prefs"])
-    return RunConfig(**kwargs)
-
-
-def _prefs_profile(value) -> PreferenceProfile:
-    try:
-        first, second = value
-        return PreferenceProfile(first, second)
-    except (TypeError, ValueError) as exc:
-        raise QGameError(f"prefs must be two distinct outcome indices in 0..3: {exc}") from None
-
-
 def _config_from_args(args) -> RunConfig:
-    cfg = load_run_config()
-    updates = {}
-    if getattr(args, "tol", None) is not None:
-        updates["tolerance"] = args.tol
-    if getattr(args, "grid_theta", None) is not None:
-        updates["grid_theta"] = args.grid_theta
-    if getattr(args, "grid_phi", None) is not None:
-        updates["grid_phi"] = args.grid_phi
+    """The command's RunConfig: defaults, the QGAME_CONFIG file's fields over them, then the flags given over those.
+
+    It is built once, after a file's fields are checked alone as a RunConfig, so a bad value there is an error even where a flag overrides it.
+    """
+    kwargs = {}
+    path = os.environ.get(CONFIG_ENV_VAR)
+    if path:
+        kwargs = _read_json_file(path, "config file")
+        if not isinstance(kwargs, dict):
+            raise QGameError(f"config file {path} must hold a JSON object")
+        unknown = set(kwargs) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise QGameError(f"config file {path} has unknown keys: {', '.join(sorted(unknown))}")
+        if "prefs" in kwargs:
+            try:
+                first, second = kwargs["prefs"]
+                kwargs["prefs"] = PreferenceProfile(first, second)
+            except (TypeError, ValueError) as exc:
+                raise QGameError(f"prefs must be two distinct outcome indices in 0..3: {exc}") from None
+        RunConfig(**kwargs)
+    for key, flag in (("tolerance", "tol"), ("grid_theta", "grid_theta"), ("grid_phi", "grid_phi")):
+        if getattr(args, flag, None) is not None:
+            kwargs[key] = getattr(args, flag)
     if getattr(args, "prefs", None) is not None:
-        updates["prefs"] = PreferenceProfile(*args.prefs)
+        kwargs["prefs"] = PreferenceProfile(*args.prefs)
     if getattr(args, "csv", False):
-        updates["output_format"] = "csv"
-    return replace(cfg, **updates) if updates else cfg
+        kwargs["output_format"] = "csv"
+    return RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +286,12 @@ def _marker_template(layout, indent: str, *key) -> tuple[str, operator.itemgette
 
 
 def _certificate_markers(m: list, is_equilibrium: bool, witness: bool, witness_player) -> dict:
-    """_certificate_dict of a certificate of the given layout whose 18 floats are m[0:18], in _certificate_floats' order."""
+    """_certificate_dict of the certificate of the given layout whose 18 floats are m[0:18], in _certificate_floats' order.
 
-    def state(k):
-        return SimpleNamespace(vec=np.array([complex(m[k], m[k + 1]), complex(m[k + 2], m[k + 3])]))
-
-    marker = SimpleNamespace(
-        play=SimpleNamespace(a=state(0), b=state(4)),
-        witness=state(8) if witness else None,
-        payoff1=m[12],
-        payoff2=m[13],
-        achieved1=m[14],
-        achieved2=m[15],
-        best1=m[16],
-        best2=m[17],
-        is_equilibrium=is_equilibrium,
-        witness_player=witness_player,
-    )
-    return _certificate_dict(marker)
+    Its states hold m[0:12] unchecked, as _certificate_dict reads only their vectors; the scalars follow by position.
+    """
+    a, b, w = _wrap_rows(QubitState, np.array(m[:12]).view(complex).reshape(3, 2))
+    return _certificate_dict(EquilibriumCertificate(Play(a, b), *m[12:18], is_equilibrium, w if witness else None, witness_player))
 
 
 def _analyze_markers(m: list) -> dict:

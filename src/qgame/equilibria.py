@@ -111,12 +111,11 @@ class RegionSpec:
 
 
 def _coefficient_pair(g: QuantumGame, player: int, opponent: QubitState) -> tuple[complex, complex]:
-    """Pair (a, b) making the deviator's target amplitude a*x + b*y: M1 b for player one, M2^T a for two."""
+    """Pair (a, b) making the deviator's target amplitude a*x + b*y: M1 b for player one, M2^T a for two, as _certify rounds it."""
     m1, m2 = _target_matrices(g)
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    a, b = _contract(m1 if player == 1 else m2.T, opponent.x, opponent.y)
-    return complex(a), complex(b)
+    return _contract((m1 if player == 1 else m2.T).tolist(), *opponent.vec.tolist())
 
 
 def _pair_norm(pair: tuple[complex, complex]) -> float:
@@ -125,7 +124,7 @@ def _pair_norm(pair: tuple[complex, complex]) -> float:
 
 def _best_vector(pair: tuple[complex, complex]) -> np.ndarray:
     norm = _pair_norm(pair)
-    if norm < 1e-15:
+    if norm == 0.0:
         return KET0.vec
     v = np.array([np.conj(pair[0]), np.conj(pair[1])]) / norm
     return v / np.linalg.norm(v)
@@ -136,8 +135,9 @@ def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
 
 
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
-    """Coefficient moduli (p, q, p', q') at the given play: of player one's pair M1 b and player two's M2^T a."""
-    (a1, b1), (a2, b2) = _coefficient_pair(g, 1, p.b), _coefficient_pair(g, 2, p.a)
+    """Coefficient moduli (p, q, p', q') at the given play: of the pairs M1 b and M2^T a of its one _play_contraction, as in _certify."""
+    m1, m2 = _target_matrices(g)
+    (a1, b1), (a2, b2), _, _ = _play_contraction(m1.tolist(), m2.T.tolist(), p.a.vec.tolist(), p.b.vec.tolist())
     return ResponseCoefficients(abs(a1), abs(b1), abs(a2), abs(b2))
 
 
@@ -151,7 +151,7 @@ def best_response_value(g: QuantumGame, player: int, opponent: QubitState) -> fl
 
 
 def best_response_strategy(g: QuantumGame, player: int, opponent: QubitState) -> QubitState:
-    """A strategy attaining best_response_value; |0> when every strategy ties."""
+    """A strategy attaining best_response_value: conj of the coefficient pair, normalized; |0> only when the pair is exactly 0."""
     return _best_strategy(_coefficient_pair(g, player, opponent))
 
 

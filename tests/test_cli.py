@@ -118,6 +118,20 @@ def test_verify_certifies_a_ten_digit_bell_mechanism_file(tmp_path, tol):
     assert report["witness"] is None
 
 
+def test_verify_witness_of_a_tiny_pair_improves_below_1e_15(tmp_path):
+    """Player one's pair at (|0>, |1>) is (0, 1e-16): at tol 1e-17 the witness is |1>, which reaches 1e-16, not the played |0>."""
+    rows = [[1, 0, 0, 1e-16], [0, 1, 0, 0], [-1e-16, 0, 0, 1], [0, 0, 1, 0]]
+    path = write_json(tmp_path / "tilted.json", {"name": "tilted_cnot", "matrix": [[[v, 0.0] for v in row] for row in rows]})
+    code, out, _ = run_cli(["verify", path, "--play", "1", "0", "0", "1", "--tol", "1e-17"])
+    report = json.loads(out)
+    assert code == 1
+    assert (report["achieved"][0], report["best"][0]) == (0.0, 1e-16)
+    assert report["witness"] == {"player": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
+    code, out, _ = run_cli(["verify", path, "--play", "0", "1", "0", "1", "--tol", "1e-17"])
+    assert json.loads(out)["achieved"][0] == 1e-16  # the witness reaches player one's best
+    assert run_cli(["verify", path, "--play", "1", "0", "0", "1", "--tol", "1e-15"])[0] == 0
+
+
 def test_verify_bad_bloch_angle_exits_two():
     code, _, err = run_cli(["verify", "cnot", "--bloch", "4,0", "0,0"])
     assert code == 2
@@ -131,8 +145,10 @@ def test_verify_bad_bloch_angle_exits_two():
         (["--bloch", "1,x", "0,0"], "argument --bloch: expected two comma-separated numbers, got '1,x'"),
         (["--bloch", "0,0", "0,0", "--prefs", "0,x"], "argument --prefs: expected two comma-separated indices, got '0,x'"),
         (["--bloch", "0,0", "0,0", "--prefs", "0,1,2"], "argument --prefs: expected two comma-separated indices, got '0,1,2'"),
+        (["--play", "abc", "0", "1", "0"], "argument --play: 'abc' is not a complex literal (examples: 1, 0.5j, 0.6+0.8j)"),
+        (["--play", "nan", "0", "1", "0"], "argument --play: amplitudes must be finite"),
     ],
-    ids=["bloch-one-value", "bloch-not-a-number", "prefs-not-an-index", "prefs-three-values"],
+    ids=["bloch-one-value", "bloch-not-a-number", "prefs-not-an-index", "prefs-three-values", "play-not-complex", "play-nan"],
 )
 def test_malformed_pair_exits_two_with_its_message(args, message):
     code, out, err = run_cli(["verify", "cnot", *args])
@@ -480,7 +496,7 @@ def test_analyze_report_head_reads_back_its_inputs_and_certificates(tmp_path_fac
             }
         )
     head = {
-        "gate": name,
+        "gate": json.loads(json.dumps(name)),  # as the gate file reads back: JSON joins a high and a low surrogate into one character
         "preferences": [t1, t2],
         "tolerance": tol,
         "grid": {"theta_points": theta, "phi_points": phi},
@@ -542,6 +558,16 @@ def test_region_degenerate_player_is_noted():
     assert one["samples"] is None
     assert "vanish" in one["note"]
     assert two["form"] == "swapped"
+
+
+def test_region_csv_degenerate_player_writes_no_samples():
+    code, out, _ = run_cli(["region", "cnot", "--play", "1", "0", "0", "1", "--csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# player=1 case=31 form=degenerate slope=none"
+    assert lines[1].startswith("# player=2 case=33 form=swapped slope=")
+    assert lines[2] == "h,v,case_pair,slope"
+    assert len(lines) > 3 and all(line.split(",")[2] == "33" for line in lines[3:])
 
 
 def test_region_exits_two_when_all_coefficients_vanish():
@@ -732,6 +758,20 @@ def test_gate_file_with_non_number_pairs_exits_two(tmp_path, entry):
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda d: write_json(d / "gate.json", {"name": 5, "matrix": identity_entries([1.0, 0.0])}), "error: gate file 'name' must be a string\n"),
+        (lambda d: str(d), "error: cannot read gate file "),
+    ],
+    ids=["name-not-a-string", "a-directory"],
+)
+def test_gate_file_that_cannot_be_used_exits_two(tmp_path, make, message):
+    code, out, err = run_cli(["verify", make(tmp_path), "--play", "1", "0", "1", "0"])
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         {"amplitudes": [[True, 0], [0, 0], [0, 0], [0, 0]], "name": ["x"]},
@@ -802,11 +842,13 @@ def test_config_unknown_key_rejected(tmp_path, monkeypatch):
 
 
 def test_config_invalid_value_rejected(tmp_path, monkeypatch):
+    """The file's values are checked even where a flag overrides them."""
     cfg = write_json(tmp_path / "cfg.json", {"tolerance": 0.5})
     monkeypatch.setenv("QGAME_CONFIG", cfg)
-    code, _, err = run_cli(["verify", "cnot", "--play", "1", "0", "0", "1"])
-    assert code == 2
-    assert "tolerance" in err
+    for flags in ([], ["--tol", "1e-9"]):
+        code, _, err = run_cli(["verify", "cnot", "--play", "1", "0", "0", "1"] + flags)
+        assert code == 2
+        assert "tolerance" in err
 
 
 @pytest.mark.parametrize(
@@ -820,6 +862,8 @@ def test_config_invalid_value_rejected(tmp_path, monkeypatch):
         ({"prefs": [0, 1, 2]}, "prefs"),
         ({"prefs": "01"}, "prefs"),
         ({"prefs": None}, "prefs"),
+        ({"output_format": "xml"}, "output_format"),
+        ([{"tolerance": 1e-9}], "JSON object"),
     ],
 )
 def test_config_mistyped_value_rejected(tmp_path, monkeypatch, payload, key):
@@ -837,6 +881,35 @@ def test_config_oracle_keys_are_unknown(tmp_path, monkeypatch):
     code, _, err = run_cli(["verify", "cnot", "--play", "1", "0", "0", "1"])
     assert code == 2
     assert "unknown keys: oracle_phi, oracle_theta" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "cnot", "--grid-theta", "5", "--grid-phi", "8", "--tol", "1e-6", "--prefs", "2,1", "--csv"],
+        ["verify", "cnot", "--play", "1", "0", "0", "1"],
+        ["region", "cnot", "--play", "1", "0", "1", "0", "--csv"],
+        ["mechanism", "bell", "--prefs", "0,3"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("config", [None, {"grid_theta": 13, "grid_phi": 24, "prefs": [1, 0]}], ids=["no-file", "file"])
+def test_each_command_builds_one_run_config(tmp_path, monkeypatch, args, config):
+    """One RunConfig per command; a QGAME_CONFIG file's own check adds the second."""
+    if config is None:
+        monkeypatch.delenv("QGAME_CONFIG", raising=False)
+    else:
+        monkeypatch.setenv("QGAME_CONFIG", write_json(tmp_path / "cfg.json", config))
+    built, check = [], cli.RunConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(cli.RunConfig, "__post_init__", counted)
+    code, out, _ = run_cli(args)
+    assert code in (0, 1) and out
+    assert len(built) == (1 if config is None else 2)
 
 
 def test_config_bad_json_rejected(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from oracles import (
     scalar_search_certificates,
     scalar_verify_equilibrium,
 )
-from qgame import cli, equilibria, qcore
+from qgame import cli, equilibria, game, qcore
 from qgame.equilibria import (
     CASE_IDS,
     CASE_PAIRS,
@@ -123,6 +123,8 @@ def test_best_response_value_known_cases():
     assert best_response_value(g, 1, KET1) == 0.0  # target row unreachable
     assert best_response_value(g, 2, KET0) == 1.0
     assert best_response_value(QuantumGame(IDENTITY), 1, KET0) == 1.0
+    with pytest.raises(ValueError, match="player must be 1 or 2, got 3"):
+        best_response_value(g, 3, KET0)
 
 
 def test_best_response_value_is_root_sum_of_squares():
@@ -162,6 +164,66 @@ def test_best_response_dominates_dense_grid():
         grid_best = grid_max_target_amplitude(g.u.mat, target, player, opp.vec, 181, 360)
         assert grid_best <= value + 1e-12
         assert value - grid_best <= 2e-3
+
+
+def test_coefficients_and_best_values_are_the_certificates_contraction_bit_for_bit():
+    """response_coefficients are the moduli of _play_contraction's pairs, and best_response_value the certificate's best1, best2."""
+    rng = np.random.default_rng(2323)
+    for _ in range(1000):
+        g = QuantumGame(random_unitary(rng), random_prefs(rng))
+        a, b = random_qubit_state(rng), random_qubit_state(rng)
+        m1, m2 = g.u.mat[g.prefs.player1_target].reshape(2, 2), g.u.mat[g.prefs.player2_target].reshape(2, 2)
+        (a1, b1), (a2, b2), _, _ = game._play_contraction(m1.tolist(), m2.T.tolist(), a.vec.tolist(), b.vec.tolist())
+        c = response_coefficients(g, Play(a, b))
+        assert [c.p.hex(), c.q.hex(), c.p_prime.hex(), c.q_prime.hex()] == [abs(z).hex() for z in (a1, b1, a2, b2)]
+        cert = verify_equilibrium(g, Play(a, b))
+        assert [best_response_value(g, 1, b).hex(), best_response_value(g, 2, a).hex()] == [cert.best1.hex(), cert.best2.hex()]
+
+
+def witness_test_plays(g, rng):
+    """Plays on which a witness, if any, must strictly raise its player's achieved modulus.
+
+    Random plays; plays whose opponent holds the deviator's pair at the smallest
+    singular value of its matrix, below 1e-15 near a rank-1 matrix; and plays where
+    player one holds its best response scaled by 1 + 1e-13, which QubitState accepts
+    and which passes player one at tol 0, so that any witness is player two's.
+    """
+    m1, m2 = (g.u.mat[t].reshape(2, 2) for t in (g.prefs.player1_target, g.prefs.player2_target))
+    null1 = np.linalg.svd(m1)[2][-1].conj()  # |M1 null1| = sigma_min(M1)
+    null2 = np.linalg.svd(m2.T)[2][-1].conj()  # |M2^T null2| = sigma_min(M2)
+    passing = np.linalg.solve(m1, np.conj(null2))  # player one's best response to it is null2
+    plays = []
+    for b in (random_qubit_state(rng), QubitState(null1)):
+        plays.append(Play(random_qubit_state(rng), b))
+    for b in (random_qubit_state(rng).vec, passing / np.linalg.norm(passing)):
+        a = best_response_strategy(g, 1, QubitState(b)).vec * (1 + 1e-13)
+        plays.append(Play(QubitState(a), QubitState(b)))
+    return plays
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17])
+def test_every_witness_strictly_improves_even_on_a_tiny_pair(tol):
+    """On Haar games and games within eps of each stratum, a witness raises its player's achieved modulus.
+
+    Measured by the certificate of the play with the witness in place.  A pair of norm
+    below 1e-15 is not a tie: its witness is its conjugate direction, not |0>.
+    """
+    rng = np.random.default_rng(1517)
+    tiny = {1: 0, 2: 0}
+    for _ in range(20):
+        games = [QuantumGame(random_unitary(rng), random_prefs(rng))]
+        games += [perturbed_game(rng, stratum, eps) for stratum in STRATA for eps in (0.0, 1e-16, 1e-9)]
+        for g in games:
+            for play, cert in zip(plays := witness_test_plays(g, rng), verify_equilibria(g, *stacked(plays), tol)):
+                if cert.witness is None:
+                    continue
+                if cert.witness_player == 1:
+                    before, best, after = cert.achieved1, cert.best1, verify_equilibrium(g, Play(cert.witness, play.b), tol).achieved1
+                else:
+                    before, best, after = cert.achieved2, cert.best2, verify_equilibrium(g, Play(play.a, cert.witness), tol).achieved2
+                assert after > before, (cert.witness_player, before, best, after)
+                tiny[cert.witness_player] += best < 1e-15
+    assert min(tiny.values()) >= 20, tiny
 
 
 def test_best_response_strategy_degenerate_tie_breaks_to_ket0():
