@@ -32,18 +32,18 @@ import numpy as np
 
 from .equilibria import (
     CASE_PAIRS,
+    DegenerateCoefficientError,
     EquilibriumCertificate,
     GridSpec,
     ResponseCoefficients,
     _certify,
-    _player_coefficients,
     _search_rows,
     feasibility_region,
     response_coefficients,
     verify_equilibrium,
 )
 from .game import Play, PreferenceProfile, QuantumGame, StrategyParams
-from .gates import LIBRARY, _read_json_file, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file, save_gate_file
+from .gates import LIBRARY, _read_json_file, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
 from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState, _is_int, _wrap_rows
 
@@ -59,8 +59,8 @@ class RunConfig:
     """Run-wide knobs shared by the commands."""
 
     tolerance: float = TOL.equilibrium
-    grid_theta: int = 61
-    grid_phi: int = 120
+    grid_theta: int = GridSpec.theta_points
+    grid_phi: int = GridSpec.phi_points
     prefs: PreferenceProfile = field(default_factory=PreferenceProfile)
     output_format: str = "json"
 
@@ -140,10 +140,9 @@ _prefs_arg = _two_arg(int, "indices")
 
 
 def _case_pair_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
     try:
-        pair = (int(parts[0]), int(parts[1])) if len(parts) == 2 else None
-    except ValueError:
+        pair = _prefs_arg(text)
+    except argparse.ArgumentTypeError:
         pair = None
     if pair not in CASE_PAIRS:
         choices = "; ".join(f"{a},{b}" for a, b in CASE_PAIRS)
@@ -158,7 +157,7 @@ def _renormalized(vec: np.ndarray, who: str) -> np.ndarray:
         raise NormalizationError(
             f"{who} amplitudes have norm {norm!r}, more than {TOL.amplitude_input} from 1; refusing to guess"
         )
-    if abs(norm - 1.0) > 1e-12:
+    if abs(norm - 1.0) > TOL.state_norm:
         print(f"warning: renormalizing {who} amplitudes (norm was {norm!r})", file=sys.stderr)
     return vec / norm
 
@@ -189,6 +188,13 @@ def _parse_play(args) -> Play:
         first, second = args.bloch
         return Play(_bloch_strategy(first, "player one"), _bloch_strategy(second, "player two"))
     raise QGameError("a play is required: pass --play X1 Y1 X2 Y2 or --bloch T1,P1 T2,P2")
+
+
+def _game_args(args) -> tuple[RunConfig, str, QuantumGame]:
+    """The command's RunConfig, its gate's name, and the game of that gate at the config's preferences."""
+    cfg = _config_from_args(args)
+    name, unitary = _resolve_gate(args.gate)
+    return cfg, name, QuantumGame(unitary, cfg.prefs)
 
 
 def _resolve_gate(token: str) -> tuple[str, GameUnitary]:
@@ -375,9 +381,7 @@ def cmd_analyze(args) -> int:
     formatted in one batch.  The CSV rows are columns of the same float
     table, _certificate_floats.
     """
-    cfg = _config_from_args(args)
-    name, unitary = _resolve_gate(args.gate)
-    game = QuantumGame(unitary, cfg.prefs)
+    cfg, name, game = _game_args(args)
     a, b, rows = _search_rows(game, GridSpec(cfg.grid_theta, cfg.grid_phi), cfg.tolerance)
 
     if cfg.output_format == "csv":
@@ -402,9 +406,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    name, unitary = _resolve_gate(args.gate)
-    game = QuantumGame(unitary, cfg.prefs)
+    cfg, name, game = _game_args(args)
     play = _parse_play(args)
     cert = verify_equilibrium(game, play, cfg.tolerance)
 
@@ -419,26 +421,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_region(args) -> int:
-    cfg = _config_from_args(args)
-    name, unitary = _resolve_gate(args.gate)
-    game = QuantumGame(unitary, cfg.prefs)
+    cfg, name, game = _game_args(args)
     play = _parse_play(args)
     deviation = _bloch_strategy(args.deviation, "deviation")
     coeffs = response_coefficients(game, play)
-    pair = args.case_pair
 
     players = []
-    for player, case in ((1, pair[0]), (2, pair[1])):
-        p_side, q_side = _player_coefficients(coeffs, player)
+    for player, case in zip((1, 2), args.case_pair):
         info = {"player": player, "case": case}
-        if max(p_side, q_side) >= TOL.degenerate_coefficient:
-            swapped = p_side < TOL.degenerate_coefficient
-            region = feasibility_region(coeffs, player, deviation, args.resolution, pair, swapped)
-            info.update(
-                form="swapped" if swapped else "primary",
-                slope=p_side / q_side if swapped else q_side / p_side,
-                samples=[list(s) for s in region.samples],
-            )
+        for swapped in (False, True):  # the primary form unless its p-side is degenerate
+            try:
+                region = feasibility_region(coeffs, player, deviation, args.resolution, swapped)
+            except DegenerateCoefficientError:
+                continue
+            info.update(form="swapped" if swapped else "primary", slope=region.slope, samples=[list(s) for s in region.samples])
+            break
         else:
             info.update(form="degenerate", slope=None, samples=None,
                         note="both coefficients vanish; every play satisfies the inequality")
@@ -464,7 +461,7 @@ def cmd_region(args) -> int:
 
     report = {
         "gate": name,
-        "case_pair": list(pair),
+        "case_pair": list(args.case_pair),
         "deviation": _state_pairs(deviation),
         "coefficients": _coefficients_dict(coeffs),
         "players": players,
@@ -512,11 +509,9 @@ def cmd_mechanism(args) -> int:
                 entry["bound_at_deviation"] = None
         constraint_reports.append(entry)
 
+    gate = gate_to_json_dict(f"{target_name}_{args.mode}", unitary)
     if args.out:
-        try:
-            save_gate_file(args.out, f"{target_name}_{args.mode}", unitary)
-        except OSError as exc:
-            raise QGameError(f"cannot write {args.out}: {exc}") from None
+        _emit_json(gate, args.out)
 
     report = {
         "target": target_name,
@@ -524,7 +519,7 @@ def cmd_mechanism(args) -> int:
         "preferences": [cfg.prefs.player1_target, cfg.prefs.player2_target],
         "deviation": _state_pairs(deviation),
         "constraints": constraint_reports,
-        "unitary": gate_to_json_dict(f"{target_name}_{args.mode}", unitary)["matrix"],
+        "unitary": gate["matrix"],
         "fidelity": result.fidelity,
         "certificate": _certificate_dict(result.certificate),
         "certified": result.certified,
@@ -539,10 +534,10 @@ def cmd_mechanism(args) -> int:
 def cmd_gates(args) -> int:
     if args.gates_command == "list":
         report = [{"name": e.name, "description": e.description} for _, e in sorted(LIBRARY.items())]
-        _emit_json(report, getattr(args, "out", None))
+        _emit_json(report, args.out)
         return 0
     entry_name, unitary = _resolve_gate(args.name)
-    _emit_json(gate_to_json_dict(entry_name, unitary), getattr(args, "out", None))
+    _emit_json(gate_to_json_dict(entry_name, unitary), args.out)
     return 0
 
 

@@ -93,20 +93,16 @@ class GridSpec:
 class RegionSpec:
     """Sampled boundary of a deviation-inequality feasibility region.
 
-    Samples are (h, v) pairs: in the primary form h is the modulus of
-    the played strategy's flipped component and v the kept one, and the
-    feasible set is on or above the line v = (dev_kept + slope*dev_flip)
-    - slope*h, intersected with the closed unit quarter-disc.  The
-    swapped form exchanges the two axes.  slope1 and slope2 record the
-    coefficient ratios q/p and q'/p' (inf when the denominator is
-    degenerate), independent of which player was sampled.
+    Samples are (h, v) pairs on the line v = (dev_kept + slope*dev_flip)
+    - slope*h, v clamped at 0, inside the closed unit quarter-disc.  In
+    the primary form h is the modulus of the played strategy's flipped
+    component, v the kept one, and slope = q/p (q'/p' for player two).
+    The swapped form exchanges the two axes and slope = p/q.  Cases 31
+    and 33 hold on or above the line, cases 32 and 34 on or below it.
     """
 
-    case_pair: tuple[int, int]
-    slope1: float
-    slope2: float
+    slope: float
     samples: tuple[tuple[float, float], ...]
-    player: int
     swapped: bool
 
 
@@ -130,10 +126,6 @@ def _best_vector(pair: tuple[complex, complex]) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _best_strategy(pair: tuple[complex, complex]) -> QubitState:
-    return QubitState(_best_vector(pair))
-
-
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
     """Coefficient moduli (p, q, p', q') at the given play: of the pairs M1 b and M2^T a of its one _play_contraction, as in _certify."""
     m1, m2 = _target_matrices(g)
@@ -152,17 +144,19 @@ def best_response_value(g: QuantumGame, player: int, opponent: QubitState) -> fl
 
 def best_response_strategy(g: QuantumGame, player: int, opponent: QubitState) -> QubitState:
     """A strategy attaining best_response_value: conj of the coefficient pair, normalized; |0> only when the pair is exactly 0."""
-    return _best_strategy(_coefficient_pair(g, player, opponent))
+    return QubitState(_best_vector(_coefficient_pair(g, player, opponent)))
 
 
 def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) -> EquilibriumCertificate:
     """Closed-form equilibrium check with weak inequalities at slack tol.
 
-    The play is certified when each player's achieved target amplitude
-    is within tol of their best response value.  On failure the witness
-    is the best-response strategy of the first improving player, so
-    applying it raises that player's amplitude by more than tol.  This is
-    verify_equilibria for one play, whose certificate carries p itself.
+    A player fails when their best response value exceeds their achieved
+    target amplitude by more than tol, and so does the amplitude of their
+    best-response strategy, rounded as a played one's; the play is
+    certified when neither fails.  On failure the witness is that strategy
+    of the first failing player, so applying it raises that player's
+    amplitude by more than tol.  This is verify_equilibria for one play,
+    whose certificate carries p itself.
     """
     return _certificate(p, _certify(g, [p.a.vec.tolist()], [p.b.vec.tolist()], tol)[0])
 
@@ -193,7 +187,8 @@ def _certify(g: QuantumGame, a: list, b: list, tol: float) -> list[tuple]:
     is a's contraction with the pair M1 b whose norm is best1.  It is
     per-row Python complex and float arithmetic, which rounds as the
     numpy scalars of a single play do; numpy's array abs, hypot and
-    complex multiply do not.
+    complex multiply do not.  The pair's norm can exceed a best response's
+    achieved modulus by an ulp, so a witness must gain more than tol itself.
     """
     _check_tol(tol)
     m1, m2 = _target_matrices(g)
@@ -202,15 +197,21 @@ def _certify(g: QuantumGame, a: list, b: list, tol: float) -> list[tuple]:
     for a_row, b_row in zip(a, b):
         pair1, pair2, achieved1, achieved2 = _play_contraction(m1, m2t, a_row, b_row)
         best1, best2 = _pair_norm(pair1), _pair_norm(pair2)
-        if best1 > achieved1 + tol:
-            witness, witness_player = _best_vector(pair1), 1
-        elif best2 > achieved2 + tol:
-            witness, witness_player = _best_vector(pair2), 2
+        if best1 > achieved1 + tol and _gains(witness := _best_vector(pair1), pair1, achieved1 + tol):
+            witness_player = 1
+        elif best2 > achieved2 + tol and _gains(witness := _best_vector(pair2), pair2, achieved2 + tol):
+            witness_player = 2
         else:
             witness, witness_player = None, None
         payoff1, payoff2 = _modulus_payoff(achieved1), _modulus_payoff(achieved2)
         rows.append((payoff1, payoff2, achieved1, achieved2, best1, best2, witness is None, witness, witness_player))
     return rows
+
+
+def _gains(w: np.ndarray, pair: tuple[complex, complex], bar: float) -> bool:
+    """Whether strategy vector w's target amplitude against pair, rounded as _play_contraction rounds a played one's, exceeds bar."""
+    x, y = w.tolist()
+    return abs(x * pair[0] + y * pair[1]) > bar
 
 
 def _certificate(p: Play, fields: tuple) -> EquilibriumCertificate:
@@ -461,7 +462,7 @@ def search_equilibria(g: QuantumGame, grid: GridSpec, tol: float = TOL.equilibri
 
 
 def case_inequality_holds(case_id: int, coeffs: ResponseCoefficients, play: Play, deviation: QubitState) -> bool:
-    """Evaluate one deviation inequality with a 1e-12 comparison slack.
+    """Evaluate one deviation inequality with a TOL.disc comparison slack.
 
     Cases 31/32 compare player one's weighted deviation moduli
     p|x| + q|y| against the same weighting of the played strategy
@@ -469,17 +470,15 @@ def case_inequality_holds(case_id: int, coeffs: ResponseCoefficients, play: Play
     analogues with p', q'.  These are triangle-inequality relaxations
     used for region analysis, not equilibrium tests.
     """
-    if case_id in (31, 32):
-        side, kept, flip = (coeffs.p, coeffs.q), play.a, deviation
-    elif case_id in (33, 34):
-        side, kept, flip = (coeffs.p_prime, coeffs.q_prime), play.b, deviation
-    else:
+    if case_id not in CASE_IDS:
         raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id!r}")
-    left = side[0] * abs(flip.x) + side[1] * abs(flip.y)
-    right = side[0] * abs(kept.x) + side[1] * abs(kept.y)
+    p_side, q_side = _player_coefficients(coeffs, 1 if case_id < 33 else 2)
+    kept = play.a if case_id < 33 else play.b
+    left = p_side * abs(deviation.x) + q_side * abs(deviation.y)
+    right = p_side * abs(kept.x) + q_side * abs(kept.y)
     if case_id in (31, 33):
-        return left <= right + 1e-12
-    return left >= right - 1e-12
+        return left <= right + TOL.disc
+    return left >= right - TOL.disc
 
 
 def _player_coefficients(coeffs: ResponseCoefficients, which_player: int) -> tuple[float, float]:
@@ -490,12 +489,8 @@ def _player_coefficients(coeffs: ResponseCoefficients, which_player: int) -> tup
     raise ValueError(f"which_player must be 1 or 2, got {which_player!r}")
 
 
-def _ratio_or_inf(num: float, den: float) -> float:
-    return num / den if den >= TOL.degenerate_coefficient else math.inf
-
-
 def _sample_boundary(constant: float, slope: float, resolution: int) -> tuple[tuple[float, float], ...]:
-    # Boundary of {v >= constant - slope*h} clipped to v >= 0, inside the
+    # The line v = constant - slope*h clamped to v >= 0, inside the
     # closed unit disc.  Points whose clamped boundary value leaves the
     # disc are dropped rather than projected.
     if resolution < 2:
@@ -514,15 +509,15 @@ def feasibility_region(
     which_player: int,
     deviation: QubitState,
     resolution: int = 101,
-    case_pair: tuple[int, int] = (31, 33),
     swapped: bool = False,
 ) -> RegionSpec:
     """Boundary samples of the played-moduli region compatible with a deviation.
 
-    Solving the player's case inequality for the kept modulus of the
-    played strategy gives v >= (dev_kept + slope*dev_flip) - slope*h
-    with slope = q/p (or q'/p'), where h is the played flipped modulus;
-    this needs a non-degenerate p-side coefficient.  swapped=True
+    Solving the player's case inequality for the kept modulus v of the
+    played strategy gives the line v = (dev_kept + slope*dev_flip) -
+    slope*h with slope = q/p (or q'/p'), where h is the played flipped
+    modulus: case 31 (33) holds on or above it, case 32 (34) on or below.
+    This needs a non-degenerate p-side coefficient.  swapped=True
     exchanges the two moduli axes and the p/q roles, solving for the
     flipped modulus with slope p/q; it needs a non-degenerate q-side.
     """
@@ -534,11 +529,4 @@ def feasibility_region(
         side, remedy = ("q", "the region is unconstrained in this form") if swapped else ("p", "use swapped=True")
         raise DegenerateCoefficientError(f"{side}-side coefficient {p_side!r} is degenerate; {remedy}")
     slope = q_side / p_side
-    return RegionSpec(
-        case_pair=case_pair,
-        slope1=_ratio_or_inf(coeffs.q, coeffs.p),
-        slope2=_ratio_or_inf(coeffs.q_prime, coeffs.p_prime),
-        samples=_sample_boundary(dev_kept + slope * dev_flip, slope, resolution),
-        player=which_player,
-        swapped=swapped,
-    )
+    return RegionSpec(slope, _sample_boundary(dev_kept + slope * dev_flip, slope, resolution), swapped)

@@ -18,10 +18,11 @@ against both players' eigenvectors.
 scalar_verify_equilibrium is the per-play certification that
 verify_equilibria replaced: the two coefficient contractions M1 b and
 M2^T a written out per play from the target rows, and each achieved
-modulus taken as the played strategy's contraction with its pair.
-verify_equilibria must reproduce its certificates bit for bit, and
-scalar_search_certificates is the search recertified that way, with each
-strategy built from its Bloch angles.  reference_outcome, U (a kron b) by
+modulus taken as the played strategy's contraction with its pair; a
+best response whose own contraction gains no more than tol is no
+witness.  verify_equilibria must reproduce its certificates bit for bit,
+and scalar_search_certificates is the search recertified that way, with
+each strategy built from its Bloch angles.  reference_outcome, U (a kron b) by
 np.kron and a plain matvec, is the reference for apply.
 """
 
@@ -194,12 +195,12 @@ def scalar_verify_equilibrium(g, p: Play, tol: float = TOL.equilibrium) -> equil
 
     witness = None
     witness_player = None
-    if best1 > achieved1 + tol:
-        witness = equilibria._best_strategy(pair1)
-        witness_player = 1
-    elif best2 > achieved2 + tol:
-        witness = equilibria._best_strategy(pair2)
-        witness_player = 2
+    for player, pair, achieved, best in ((1, pair1, achieved1, best1), (2, pair2, achieved2, best2)):
+        if best > achieved + tol:
+            response = QubitState(equilibria._best_vector(pair))
+            if abs(response.x * pair[0] + response.y * pair[1]) > achieved + tol:  # a witness gains more than tol itself
+                witness, witness_player = response, player
+                break
 
     return equilibria.EquilibriumCertificate(
         play=p,

@@ -587,11 +587,10 @@ def test_region_case_pair_selection():
 
 
 def test_region_rejects_unknown_case_pair():
-    code, _, err = run_cli(
-        ["region", "cnot", "--play", "1", "0", "1", "0", "--case-pair", "31,32"]
-    )
-    assert code == 2
-    assert "case pair" in err
+    for text in ("31,32", "a,b"):  # a pair of one player's cases, and no pair of integers
+        code, _, err = run_cli(["region", "cnot", "--play", "1", "0", "1", "0", "--case-pair", text])
+        assert code == 2
+        assert "case pair must be one of" in err
 
 
 def test_region_custom_deviation_and_resolution():

@@ -54,6 +54,11 @@ def test_from_amplitudes_rejects_nonfinite():
         QubitState.from_amplitudes(float("nan"), 0.0)
 
 
+def test_qubit_state_rejects_wrong_length():
+    with pytest.raises(NormalizationError, match="exactly 2 amplitudes"):
+        QubitState(np.zeros(3))
+
+
 def test_state_vector_is_read_only():
     s = QubitState.from_amplitudes(1.0, 0.0)
     with pytest.raises(ValueError):
@@ -126,6 +131,10 @@ def test_check_unitary_accepts_and_rejects():
     assert check_unitary(IDENTITY.mat)
     assert not check_unitary(1.01 * np.eye(4))
     assert not check_unitary(np.ones((4, 4), dtype=complex))
+    assert not check_unitary(np.eye(3))
+    holed = np.eye(4, dtype=complex)
+    holed[1, 2] = math.nan
+    assert not check_unitary(holed)
 
 
 def test_unitarity_deviation_magnitude():
@@ -145,6 +154,13 @@ def test_game_unitary_rejects_nonunitary_with_deviation_message():
 def test_game_unitary_rejects_wrong_shape():
     with pytest.raises(UnitarityError):
         GameUnitary(np.eye(3))
+
+
+def test_game_unitary_rejects_nonfinite_entries():
+    m = np.eye(4, dtype=complex)
+    m[3, 0] = math.nan
+    with pytest.raises(UnitarityError, match="non-finite"):
+        GameUnitary(m)
 
 
 def test_apply_permutes_basis_states():
