@@ -36,13 +36,12 @@ from .equilibria import (
     EquilibriumCertificate,
     GridSpec,
     ResponseCoefficients,
-    _certify,
     _search_rows,
     feasibility_region,
     response_coefficients,
     verify_equilibrium,
 )
-from .game import Play, PreferenceProfile, QuantumGame, StrategyParams
+from .game import Play, PreferenceProfile, QuantumGame, StrategyParams, _modulus_payoff, _play_contraction, _target_matrices
 from .gates import LIBRARY, _read_json_file, bell_state, complex_from_pairs, gate_to_json_dict, load_gate_file
 from .mechanism import MechanismTarget, certify_mechanism, derive_constraints, synthesize_mechanism
 from .qcore import KET0, KET1, GameUnitary, NormalizationError, QGameError, QubitState, TOL, TwoQubitState, _is_int, _wrap_rows
@@ -368,12 +367,13 @@ def _certificates_text(a: np.ndarray, b: np.ndarray, rows: list[tuple], indent: 
 
 
 def cmd_analyze(args) -> int:
-    """Payoff table and coefficients at the four basis plays, read from their certificates, then the grid search's certificates.
+    """Payoff table and coefficients at the four basis plays, then the grid search's certificates.
 
     The JSON report is json.dumps(report, indent=2) byte for byte, with no
     report dict: it fills the cached template of _analyze_markers' text.
-    The basis table is one _certify pass over the four plays, with each
-    play's response_coefficients.  The gate's name fills its slot as
+    Each basis play's row is its one _play_contraction, with no witness:
+    its certificate's payoffs and achieved moduli, and the moduli of its
+    pairs, its response_coefficients.  The gate's name fills its slot as
     json.dumps(name), so it never meets a marker.  The equilibria list,
     nearly all of a large report, is written from the search's rows, with
     no certificate or dict: _certificates_text fills each one's cached
@@ -392,11 +392,11 @@ def cmd_analyze(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    plays = [Play(x, y) for x in (KET0, KET1) for y in (KET0, KET1)]
-    certified = _certify(game, [p.a.vec.tolist() for p in plays], [p.b.vec.tolist() for p in plays], cfg.tolerance)
+    m1, m2 = _target_matrices(game)
+    m1, m2t, basis = m1.tolist(), m2.T.tolist(), (KET0.vec.tolist(), KET1.vec.tolist())
     floats = [cfg.tolerance]
-    for play, row in zip(plays, certified):
-        floats += [_round_angle(row[0]), _round_angle(row[1]), row[2], row[3], *_coefficients_dict(response_coefficients(game, play)).values()]
+    for (p, q), (p_prime, q_prime), achieved1, achieved2 in (_play_contraction(m1, m2t, x, y) for x in basis for y in basis):
+        floats += [_round_angle(_modulus_payoff(achieved1)), _round_angle(_modulus_payoff(achieved2)), achieved1, achieved2, abs(p), abs(q), abs(p_prime), abs(q_prime)]
     texts = _float_texts(floats)
     values = [json.dumps(name), cfg.prefs.player1_target, cfg.prefs.player2_target, texts[0], cfg.grid_theta, cfg.grid_phi]
     values += [*texts[1:], _certificates_text(a, b, rows, "\n  "), len(rows)]

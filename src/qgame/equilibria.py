@@ -57,8 +57,10 @@ class EquilibriumCertificate:
 
     best1/best2 are the norms of M1 b and M2^T a, the best moduli against
     the fixed opponent; achieved1/achieved2 are |a^T M1 b| and |a^T M2 b|,
-    read from the same pairs.  When the play is not an equilibrium, witness
-    holds the deviating strategy of the first player who can improve.
+    read from the same pairs.  The verdict is the witness rule: a player fails only when
+    their best-response vector, contracted as a played strategy is, gains more than tol,
+    and a pair's norm can top that vector's own modulus by rounding, so a passing play can
+    read best - achieved > tol.  Otherwise witness holds that vector of the first failing player.
     """
 
     play: Play
@@ -219,13 +221,17 @@ def _certificate(p: Play, fields: tuple) -> EquilibriumCertificate:
     return EquilibriumCertificate(p, *fields) if fields[7] is None else EquilibriumCertificate(p, *fields[:7], QubitState(fields[7]), fields[8])
 
 
-def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened amplitude arrays (x, y) over the grid, theta-major order."""
+def _grid_points(grid: GridSpec, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """thetas, phis, and the amplitudes (cos(theta/2), e^{i phi} sin(theta/2)) of the points at theta-major flat indices index, each the same whatever index holds."""
     thetas = np.linspace(0.0, math.pi, grid.theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, grid.phi_points, endpoint=False)
-    x = np.repeat(np.cos(thetas / 2.0), grid.phi_points)
-    y = (np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)[None, :]).ravel()
-    return thetas, phis, x, y
+    row, col = np.divmod(index, grid.phi_points)
+    return thetas, phis, np.cos(thetas / 2.0)[row], np.sin(thetas / 2.0)[row] * np.exp(1j * phis)[col]
+
+
+def _grid_amplitudes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_grid_points of the whole grid: flattened amplitude arrays (x, y), theta-major order."""
+    return _grid_points(grid, np.arange(grid.theta_points * grid.phi_points))
 
 
 # Rounding guard of every best-response cap's half-angle, in spinor angle.  It widens
@@ -266,35 +272,38 @@ def _eigenvectors(k: list) -> tuple[float, tuple[complex, complex], tuple[comple
     return abs(lam), (s, k10), (k01, -s)
 
 
-def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, thetas: np.ndarray, x: np.ndarray, y: np.ndarray):
+def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, grid: GridSpec):
     """Yield each player's grid strategies, in grid order, that a pair passing both checks at slack tol can hold, player one's first.
 
-    thetas, x and y are _grid_amplitudes' arrays.  At such a pair, |(K - cI) a| <= eta for
-    K = conj(M1) M2^T and some scalar c, with eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2))
-    and si = |Mi|_2 (README, "Eigen windows").  K's eigenvalues are +-lambda about tr K / 2,
-    and c lies at least |lambda| from one of them, so a lies within r = eta / |lambda| of the
-    other's eigenvector e: sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with
-    K' = conj(M2^T) M1.  Those strategies form a cap of half-angle asin(r) around e, so only
-    its rows are tested.  A player whose radius reaches 1, as in every game with
-    det M1 det M2 = 0 (lambda = 0), keeps every strategy.  The sets are yielded one at a
-    time, so a caller that stops at an empty first set never forms K' or its eigenvectors.
+    At such a pair, |(K - cI) a| <= eta for K = conj(M1) M2^T and some scalar c, with
+    eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2)) and si = |Mi|_2 (README, "Eigen windows").
+    K's eigenvalues are +-lambda about tr K / 2, and c lies at least |lambda| from one of
+    them, so a lies within r = eta / |lambda| of the other's eigenvector e:
+    sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with K' = conj(M2^T) M1.  Those
+    strategies form a cap of half-angle asin(r) around e, so amplitudes are formed and tested
+    only on its rows.  A player whose radius reaches 1, as in every game with det M1 det M2 = 0
+    (lambda = 0), keeps every strategy, with no amplitude formed.  The sets are yielded one at
+    a time, so a caller that stops at an empty first set never forms K' or its eigenvectors.
     """
-    per_row = x.size // thetas.size
+    per_row, n = grid.phi_points, grid.theta_points * grid.phi_points
     # si <= |Mi|_F, the norm of a row of U.  GameUnitary holds |U^H U - I| entrywise within
     # TOL.unitarity, so |U^H U - I|_2 <= 4 TOL.unitarity and si <= 1 + 2 TOL.unitarity.
     eta = 2.0 * math.sqrt(2.0 * (tol + _EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)
     for k in (np.conj(left) @ right for left, right in ((m1, m2.T), (m2.T, m1))):  # K, then K' only when asked for
         lam, *vectors = _eigenvectors(k.tolist())
-        near = np.full(x.size, eta >= lam)
-        if eta < lam:
-            radius = eta / lam
-            for v0, v1 in vectors:
-                first, count = _cap_rows(math.atan2(abs(v1), abs(v0)), math.asin(radius) + _CAP_GUARD, thetas.size)
-                rows = slice(first * per_row, (first + max(count, 0)) * per_row)
-                # sqrt(1 - |<v|s>|^2) |v| = |<v_perp|s>| = |v0 y - v1 x|
-                near[rows] |= np.abs(v0 * y[rows] - v1 * x[rows]) <= radius * math.hypot(abs(v0), abs(v1))
-        near[1:per_row] = near[x.size - per_row + 1 :] = False  # a pole is its phi = 0 point alone
-        yield np.flatnonzero(near)
+        if eta >= lam:
+            yield np.r_[0, per_row : n - per_row + 1]  # every strategy: a pole is its phi = 0 point alone
+            continue
+        radius = eta / lam
+        first, count = _cap_rows(np.array([math.atan2(abs(v1), abs(v0)) for v0, v1 in vectors]), math.asin(radius) + _CAP_GUARD, grid.theta_points)
+        rows = sorted({row for f, c in zip(first.tolist(), count.tolist()) for row in range(f, f + c)})
+        index = (np.array(rows, np.int64)[:, None] * per_row + np.arange(per_row)).ravel()
+        index = index[(index % per_row == 0) | ((index >= per_row) & (index < n - per_row))]
+        if index.size:
+            *_, x, y = _grid_points(grid, index)
+            # sqrt(1 - |<v|s>|^2) |v| = |<v_perp|s>| = |v0 y - v1 x|
+            index = index[np.any([np.abs(v0 * y - v1 * x) <= radius * math.hypot(abs(v0), abs(v1)) for v0, v1 in vectors], axis=0)]
+        yield index
 
 
 def _cap_rows(beta, half, theta_points: int):
@@ -361,22 +370,22 @@ def _window_pairs(thetas: np.ndarray, per_row: int, strategies: np.ndarray, cap1
     return k[pair] * per_row + col % per_row, j[pair]
 
 
-def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float, amplitudes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair indices i*n + j and payoff angles of passing grid pairs, in grid order.
 
     A deviator passes only near their best response, so the exact checks
     run only on the pairs of grid strategies in _window_pairs' windows.  A
     passing pair also lies near K's eigenvectors (_strategy_sets), so when
     one player has no grid strategy there, as on Haar-random games at
-    tol 1e-9, no cap is built; when it is player one, K' is not formed
-    either.  amplitudes is _grid_amplitudes(grid), built
-    once per search by the caller.
+    tol 1e-9, neither the grid's amplitude arrays nor any cap is built;
+    when it is player one, K' is not formed either.  Past that exit the
+    grid is built once, here.
     """
-    thetas, _, x, y = amplitudes
-    n, per_row = x.size, grid.phi_points
     m1, m2 = _target_matrices(g)
-    if not all(kept.size for kept in _strategy_sets(m1, m2, tol, thetas, x, y)):
+    if not all(kept.size for kept in _strategy_sets(m1, m2, tol, grid)):
         return np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
+    thetas, _, x, y = _grid_amplitudes(grid)
+    n, per_row = x.size, grid.phi_points
 
     # Each player's coefficient pair and best value against every opposing grid strategy.
     a1, b1 = _contract(m1, x, y)
@@ -430,15 +439,13 @@ def _dedup_payoffs(payoff1: np.ndarray, payoff2: np.ndarray, step: float) -> lis
 
 
 def _search_rows(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """search_equilibria's plays as checked strategy rows a and b, and _certify's fields of each."""
+    """search_equilibria's plays as checked strategy rows a and b, from _grid_points of the kept strategies alone, and _certify's fields of each."""
     _check_tol(tol)
-    amplitudes = _grid_amplitudes(grid)
-    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol, amplitudes)
+    pair_index, payoff1, payoff2 = _candidate_pairs(g, grid, tol)
     if not pair_index.size:  # no candidates, as on generic games at tol 1e-9: skip the empty-array set-up
         return np.zeros((0, 2), complex), np.zeros((0, 2), complex), []
     i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], grid.theta_points * grid.phi_points)
-    _, _, x, y = amplitudes
-    a, b = (_unit_rows(np.column_stack([x[k], y[k]]), 2, "qubit state") for k in (i, j))
+    a, b = (_unit_rows(np.column_stack(_grid_points(grid, k)[2:]), 2, "qubit state") for k in (i, j))
     return a, b, _certify(g, a.tolist(), b.tolist(), tol)
 
 

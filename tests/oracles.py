@@ -225,7 +225,7 @@ def scalar_search_certificates(g, grid, tol: float = TOL.equilibrium) -> list:
     """The library's scan and dedup, each survivor rebuilt from its Bloch angles and certified alone."""
     thetas = np.linspace(0.0, np.pi, grid.theta_points)
     phis = np.linspace(0.0, 2.0 * np.pi, grid.phi_points, endpoint=False)
-    pair_index, payoff1, payoff2 = equilibria._candidate_pairs(g, grid, tol, equilibria._grid_amplitudes(grid))
+    pair_index, payoff1, payoff2 = equilibria._candidate_pairs(g, grid, tol)
     certificates = []
     for r in equilibria._dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup):
         i, j = divmod(int(pair_index[r]), grid.theta_points * grid.phi_points)

@@ -425,12 +425,48 @@ def test_analyze_output_matches_dense_scan_byte_for_byte(gate, monkeypatch):
     """The pruned scan, bucketed dedup and batched recertification change no byte of analyze's output."""
     runs = [["analyze", gate, "--grid-theta", "21", "--grid-phi", "40"] + fmt for fmt in ([], ["--csv"])]
     fast = [run_cli(args) for args in runs]
-    monkeypatch.setattr(equilibria, "_candidate_pairs", lambda g, grid, tol, amplitudes: dense_candidate_pairs(g, grid, tol))
+    monkeypatch.setattr(equilibria, "_candidate_pairs", dense_candidate_pairs)
     monkeypatch.setattr(equilibria, "_dedup_payoffs", quadratic_dedup)
     monkeypatch.setattr(equilibria, "_certify", per_play_certify)
     dense = [run_cli(args) for args in runs]
     assert fast == dense
     assert all(code == 0 and out for code, out, _ in fast)
+
+
+def count_calls(monkeypatch, targets) -> list:
+    """A list that gets the name of each call to the (module, name) functions of targets from now on."""
+    calls = []
+    for module, name in targets:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original: calls.append(_name) or _original(*args))
+    return calls
+
+
+def test_analyze_forms_only_what_its_report_prints(tmp_path, monkeypatch):
+    """On analyze_random's 72 inputs an analyze op forms one eigenbasis and no grid, witness or coefficients record.
+
+    Its six Haar gate files, drawn from seed 13040748, at each preference pair on the 41x80
+    grid at the default tol: the search stops at player one's empty eigen-window set, and the
+    basis table reads four contractions.  On the library gates, which keep every strategy,
+    each search builds the grid once.
+    """
+    targets = [(equilibria, "_eigenvectors"), (equilibria, "_grid_amplitudes"), (equilibria, "_best_vector")]
+    calls = count_calls(monkeypatch, targets + [(equilibria, "response_coefficients"), (cli, "response_coefficients")])
+    rng = np.random.default_rng(13040748)
+    for k in range(6):
+        path = tmp_path / f"haar_{k}.json"
+        save_gate_file(path, f"haar_{k}", random_unitary(rng))
+        for t1, t2 in ALL_PREFS:
+            calls.clear()
+            code, out, _ = run_cli(["analyze", str(path), "--prefs", f"{t1},{t2}", "--grid-theta", "41", "--grid-phi", "80"])
+            assert code == 0 and json.loads(out)["equilibrium_count"] == 0
+            assert calls == ["_eigenvectors"]
+    for gate in sorted(LIBRARY):
+        for t1, t2 in ALL_PREFS:
+            calls.clear()
+            code, out, _ = run_cli(["analyze", gate, "--prefs", f"{t1},{t2}", "--grid-theta", "13", "--grid-phi", "24"])
+            assert code == 0 and json.loads(out)["equilibrium_count"] > 0
+            assert calls.count("_grid_amplitudes") == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--tol", "1e-2"], ["--tol", "1e-2", "--prefs", "3,1"]])

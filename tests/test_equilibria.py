@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import STRATA, certificate_table, perturbed_game, planted_game, stratum_game
 from oracles import (
+    bloch_grid,
     certificate_bits,
     dense_candidate_pairs,
     dense_strategy_sets,
@@ -436,6 +437,28 @@ def test_every_witness_gains_more_than_tol(tol):
     assert negatives >= 1000  # the random plays
 
 
+def test_a_certificate_passes_by_the_witness_rule_not_by_its_fields():
+    """A player fails only when their best-response vector gains more than tol, so a passing play can read best - achieved > tol.
+
+    On 2,000 seeded Haar games at tol 0, player one plays their best response to a random b.
+    That response's own achieved modulus is the play's, so player one never fails, yet some
+    certificates read best1 > achieved1: the pair's norm tops it by rounding.
+    """
+    rng = np.random.default_rng(2024)
+    tol = 0.0
+    above = 0
+    for _ in range(2000):
+        g = QuantumGame(random_unitary(rng), random_prefs(rng))
+        b = random_qubit_state(rng)
+        response = best_response_strategy(g, 1, b)
+        cert = verify_equilibrium(g, Play(response, b), tol)
+        assert cert.witness_player != 1
+        if cert.best1 > cert.achieved1 + tol:
+            above += 1
+            assert verify_equilibrium(g, Play(best_response_strategy(g, 1, b), b), tol).achieved1 <= cert.achieved1 + tol
+    assert above > 0
+
+
 def test_verify_equilibria_of_no_plays_is_empty():
     g = QuantumGame(CNOT)
     assert verify_equilibria(g, np.zeros((0, 2), complex), np.zeros((0, 2), complex)) == []
@@ -740,7 +763,7 @@ def scans(g, grid, tol):
 
     No pair the scan returns names a pole copy.
     """
-    got = equilibria._candidate_pairs(g, grid, tol, equilibria._grid_amplitudes(grid))
+    got = equilibria._candidate_pairs(g, grid, tol)
     assert not np.isin(np.divmod(got[0], grid.theta_points * grid.phi_points), pole_copies(grid)).any()
     return dense_candidate_pairs(g, grid, tol), got
 
@@ -782,8 +805,7 @@ def test_pruned_scan_matches_dense_oracle_on_random_games():
 
 def eigen_sets(g, grid, tol):
     """_strategy_sets' two sets for g at the grid and tol, and how many grid strategies there are."""
-    thetas, _, x, y = equilibria._grid_amplitudes(grid)
-    return equilibria._strategy_sets(*equilibria._target_matrices(g), tol, thetas, x, y), (grid.theta_points - 2) * grid.phi_points + 2
+    return equilibria._strategy_sets(*equilibria._target_matrices(g), tol, grid), (grid.theta_points - 2) * grid.phi_points + 2
 
 
 def edge_games():
@@ -854,6 +876,34 @@ def test_passing_pairs_lie_within_the_eigen_radius():
     assert 0.2 < worst <= 1.0
 
 
+def suite_grids():
+    """Every grid the suite's tests run: all of the CLI property's 2x2 to 13x24, and the fixed ones up to 101x200."""
+    fixed = {(3, 4), (5, 8), (7, 12), (13, 24), (21, 40), (41, 80), (61, 120), (101, 200)}
+    return sorted({(t, p) for t in range(2, 14) for p in range(2, 25)} | fixed)
+
+
+def test_grid_points_are_the_grids_own_floats():
+    """_grid_points gives each grid point's floats bit for bit, whatever else it is asked for, and the whole grid is bloch_grid's.
+
+    On every grid of suite_grids: each row alone, as the eigen caps ask, and a shuffled
+    sample of flat indices, as a search's kept plays do.
+    """
+    rng = np.random.default_rng(163)
+    rows = 0
+    for t, p in suite_grids():
+        grid = GridSpec(t, p)
+        thetas, phis, x, y = equilibria._grid_amplitudes(grid)
+        reference = bloch_grid(t, p)
+        assert x.tobytes() == reference[:, 0].real.tobytes() and y.tobytes() == reference[:, 1].tobytes()
+        assert thetas.tobytes() == np.linspace(0.0, math.pi, t).tobytes()
+        assert phis.tobytes() == np.linspace(0.0, 2.0 * math.pi, p, endpoint=False).tobytes()
+        for index in [np.arange(r * p, (r + 1) * p) for r in range(t)] + [rng.permutation(x.size)[: max(1, x.size // 3)]]:
+            *_, xs, ys = equilibria._grid_points(grid, index)
+            assert xs.tobytes() == x[index].tobytes() and ys.tobytes() == y[index].tobytes()
+        rows += t
+    assert rows > 900
+
+
 def test_haar_scans_never_reach_the_windows(monkeypatch):
     """Regression guard: at 41x80 and the default tol, a Haar game's scan ends before any cap is built.
 
@@ -866,10 +916,9 @@ def test_haar_scans_never_reach_the_windows(monkeypatch):
     monkeypatch.setattr(equilibria, "_window_pairs", unreached)
     rng = np.random.default_rng(149)
     grid = GridSpec(41, 80)
-    amplitudes = equilibria._grid_amplitudes(grid)
     for _ in range(72):
         g = QuantumGame(random_unitary(rng), random_prefs(rng))
-        assert equilibria._candidate_pairs(g, grid, TOL.equilibrium, amplitudes)[0].size == 0
+        assert equilibria._candidate_pairs(g, grid, TOL.equilibrium)[0].size == 0
 
 
 def count_eigenvector_calls(monkeypatch) -> list:
@@ -894,28 +943,83 @@ def test_analyze_random_searches_form_one_eigen_basis(monkeypatch):
             assert len(calls) == 1
 
 
+def rank_edge_cases():
+    """Games near each degenerate stratum, each at the two tols that put eta(tol) at |lambda| (1 -+ 1e-3).
+
+    eta(tol) = 2 sqrt(2 (tol + _EIGEN_GUARD)) (1 + 4 TOL.unitarity) is _strategy_sets' rank rule:
+    a player keeps every strategy when eta reaches |lambda|.  Each case is (game, tol, whether it does).
+    """
+    rng = np.random.default_rng(157)
+    cases = []
+    for g in [perturbed_game(rng, stratum, eps) for stratum in STRATA[1:] for eps in (1e-2, 1e-3, 1e-4)]:
+        m1, m2 = equilibria._target_matrices(g)
+        lam = equilibria._eigenvectors((np.conj(m1) @ m2.T).tolist())[0]
+        for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+            tol = (lam * scale / (2.0 * (1.0 + 4.0 * TOL.unitarity))) ** 2 / 2.0 - equilibria._EIGEN_GUARD
+            assert tol >= 0.0
+            cases.append((g, tol, scale > 1.0))
+    return cases
+
+
 def test_scans_form_both_eigen_sets_only_past_a_non_empty_first_and_as_the_dense_oracle(monkeypatch):
     """A scan forms K''s eigenvectors only when player one's set is non-empty, and both sets are dense_strategy_sets'.
 
-    On every stratum, near each degenerate one and on planted games, at tols from 0 to 1e-2:
-    some scans stop after player one's set, and some form both.
+    On every stratum, near each degenerate one and on planted games, at tols from 0 to 1e-2,
+    and near each degenerate stratum at the tols on both sides of the rank rule: some scans
+    stop after player one's set, and some form both.
     """
     grid = GridSpec(13, 24)
-    amplitudes = equilibria._grid_amplitudes(grid)
     rng = np.random.default_rng(151)
     games = edge_games() + [planted_game(rng, grid)[0] for _ in range(12)]
+    cases = [(g, tol) for g in games for tol in (0.0, 1e-15, 1e-9, 1e-2)] + [(g, tol) for g, tol, _ in rank_edge_cases()]
     calls = count_eigenvector_calls(monkeypatch)
     formed = []
-    for g in games:
-        for tol in (0.0, 1e-15, 1e-9, 1e-2):
-            expected = dense_strategy_sets(g, grid, tol)
-            calls.clear()
-            equilibria._candidate_pairs(g, grid, tol, amplitudes)
-            formed.append(len(calls))
-            assert len(calls) == (2 if expected[0].size else 1)
-            (set1, set2), _ = eigen_sets(g, grid, tol)
-            assert [set1.tobytes(), set2.tobytes()] == [s.tobytes() for s in expected]
+    for g, tol in cases:
+        expected = dense_strategy_sets(g, grid, tol)
+        calls.clear()
+        equilibria._candidate_pairs(g, grid, tol)
+        formed.append(len(calls))
+        assert len(calls) == (2 if expected[0].size else 1)
+        (set1, set2), _ = eigen_sets(g, grid, tol)
+        assert [set1.tobytes(), set2.tobytes()] == [s.tobytes() for s in expected]
     assert set(formed) == {1, 2}
+
+
+@pytest.mark.parametrize("grid", [GridSpec(13, 24), GridSpec(41, 80)], ids=["13x24", "41x80"])
+def test_rank_rule_at_its_edge_keeps_the_dense_sets_and_forms_only_cap_rows(grid, monkeypatch):
+    """At eta(tol) = |lambda| (1 -+ 1e-3), _strategy_sets' two sets are dense_strategy_sets', bit for bit.
+
+    Where eta reaches |lambda|, every strategy is kept and no amplitude is formed.  Below it,
+    amplitudes are formed only on the rows of the eigenvector caps: each formed point's
+    theta/2 lies within asin(r) + _CAP_GUARD of an eigenvector's, from np.linalg.eig.
+    """
+    formed = []
+    points = equilibria._grid_points
+    monkeypatch.setattr(equilibria, "_grid_points", lambda grid, index: formed.append(index) or points(grid, index))
+    eta_of = lambda tol: 2.0 * math.sqrt(2.0 * (tol + equilibria._EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)  # noqa: E731
+    pruned = False
+    for g, tol, reaches in rank_edge_cases():
+        m1, m2 = equilibria._target_matrices(g)
+        ks = (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1)
+        lam = math.sqrt(abs(np.linalg.det(ks[0])))
+        assert (eta_of(tol) >= lam) == reaches
+        expected = dense_strategy_sets(g, grid, tol)
+        formed.clear()
+        sets, count = eigen_sets(g, grid, tol)
+        sets = list(sets)
+        assert [s.tobytes() for s in sets] == [s.tobytes() for s in expected]
+        if reaches:
+            assert formed == [] and all(s.size == count for s in sets)
+            continue
+        assert len(formed) == 2  # one cap-row batch per player
+        pruned |= any(s.size < count for s in sets)
+        half = math.asin(eta_of(tol) / lam) + equilibria._CAP_GUARD
+        for index, k in zip(formed, ks):
+            vectors = np.linalg.eig(k)[1]
+            beta = np.arctan2(np.abs(vectors[1]), np.abs(vectors[0]))
+            row_half = index // grid.phi_points * math.pi / (2 * (grid.theta_points - 1))
+            assert np.all(np.min(np.abs(row_half[:, None] - beta), axis=1) <= half + 1e-9)
+    assert pruned  # just below the edge, some strategy lies farther than r from both eigenvectors
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
@@ -1046,9 +1150,8 @@ def test_library_scans_evaluate_few_pairs(monkeypatch):
         return i, j
 
     monkeypatch.setattr(equilibria, "_window_pairs", counted)
-    amplitudes = equilibria._grid_amplitudes(GridSpec())
     for name, entry in LIBRARY.items():
-        equilibria._candidate_pairs(QuantumGame(entry.unitary), GridSpec(), TOL.equilibrium, amplitudes)
+        equilibria._candidate_pairs(QuantumGame(entry.unitary), GridSpec(), TOL.equilibrium)
         assert sizes[-1] <= (20_000 if name == "bell_circuit" else 10_000), name
 
 
