@@ -392,8 +392,7 @@ def cmd_analyze(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    m1, m2 = _target_matrices(game)
-    m1, m2t, basis = m1.tolist(), m2.T.tolist(), (KET0.vec.tolist(), KET1.vec.tolist())
+    (m1, m2t), basis = _target_matrices(game), (KET0.vec.tolist(), KET1.vec.tolist())
     floats = [cfg.tolerance]
     for (p, q), (p_prime, q_prime), achieved1, achieved2 in (_play_contraction(m1, m2t, x, y) for x in basis for y in basis):
         floats += [_round_angle(_modulus_payoff(achieved1)), _round_angle(_modulus_payoff(achieved2)), achieved1, achieved2, abs(p), abs(q), abs(p_prime), abs(q_prime)]

@@ -110,10 +110,9 @@ class RegionSpec:
 
 def _coefficient_pair(g: QuantumGame, player: int, opponent: QubitState) -> tuple[complex, complex]:
     """Pair (a, b) making the deviator's target amplitude a*x + b*y: M1 b for player one, M2^T a for two, as _certify rounds it."""
-    m1, m2 = _target_matrices(g)
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    return _contract((m1 if player == 1 else m2.T).tolist(), *opponent.vec.tolist())
+    return _contract(_target_matrices(g)[player - 1], *opponent.vec.tolist())
 
 
 def _pair_norm(pair: tuple[complex, complex]) -> float:
@@ -130,8 +129,7 @@ def _best_vector(pair: tuple[complex, complex]) -> np.ndarray:
 
 def response_coefficients(g: QuantumGame, p: Play) -> ResponseCoefficients:
     """Coefficient moduli (p, q, p', q') at the given play: of the pairs M1 b and M2^T a of its one _play_contraction, as in _certify."""
-    m1, m2 = _target_matrices(g)
-    (a1, b1), (a2, b2), _, _ = _play_contraction(m1.tolist(), m2.T.tolist(), p.a.vec.tolist(), p.b.vec.tolist())
+    (a1, b1), (a2, b2), _, _ = _play_contraction(*_target_matrices(g), p.a.vec.tolist(), p.b.vec.tolist())
     return ResponseCoefficients(abs(a1), abs(b1), abs(a2), abs(b2))
 
 
@@ -193,8 +191,7 @@ def _certify(g: QuantumGame, a: list, b: list, tol: float) -> list[tuple]:
     achieved modulus by an ulp, so a witness must gain more than tol itself.
     """
     _check_tol(tol)
-    m1, m2 = _target_matrices(g)
-    m1, m2t = m1.tolist(), m2.T.tolist()
+    m1, m2t = _target_matrices(g)
     rows = []
     for a_row, b_row in zip(a, b):
         pair1, pair2, achieved1, achieved2 = _play_contraction(m1, m2t, a_row, b_row)
@@ -272,28 +269,30 @@ def _eigenvectors(k: list) -> tuple[float, tuple[complex, complex], tuple[comple
     return abs(lam), (s, k10), (k01, -s)
 
 
-def _strategy_sets(m1: np.ndarray, m2: np.ndarray, tol: float, grid: GridSpec):
+def _strategy_sets(m1: list, m2t: list, tol: float, grid: GridSpec):
     """Yield each player's grid strategies, in grid order, that a pair passing both checks at slack tol can hold, player one's first.
 
-    At such a pair, |(K - cI) a| <= eta for K = conj(M1) M2^T and some scalar c, with
-    eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2)) and si = |Mi|_2 (README, "Eigen windows").
-    K's eigenvalues are +-lambda about tr K / 2, and c lies at least |lambda| from one of
-    them, so a lies within r = eta / |lambda| of the other's eigenvector e:
-    sqrt(1 - |<e|a>|^2) <= r.  The same holds for b with K' = conj(M2^T) M1.  Those
-    strategies form a cap of half-angle asin(r) around e, so amplitudes are formed and tested
-    only on its rows.  A player whose radius reaches 1, as in every game with det M1 det M2 = 0
-    (lambda = 0), keeps every strategy, with no amplitude formed.  The sets are yielded one at
-    a time, so a caller that stops at an empty first set never forms K' or its eigenvectors.
+    At such a pair, |(K - cI) a| <= eta for K = conj(M1) M2^T, some scalar c and
+    eta = sqrt(2 tol s1 s2) (sqrt(s1) + sqrt(s2)), si = |Mi|_2 (README, "Eigen windows"), so a lies
+    within r = eta / |lambda| of an eigenvector e of K, sqrt(1 - |<e|a>|^2) <= r, and b within r of
+    conj(M2^T e), the eigenvector of conj(M2^T) M1 for the same |lambda|.  Only the rows of each
+    vector's cap of half-angle asin(r) are formed and tested.  When r reaches 1, as whenever
+    det M1 det M2 = 0 (lambda = 0), every strategy is kept with no amplitude formed.  Player
+    two's set is formed only when asked for.
     """
     per_row, n = grid.phi_points, grid.theta_points * grid.phi_points
     # si <= |Mi|_F, the norm of a row of U.  GameUnitary holds |U^H U - I| entrywise within
     # TOL.unitarity, so |U^H U - I|_2 <= 4 TOL.unitarity and si <= 1 + 2 TOL.unitarity.
     eta = 2.0 * math.sqrt(2.0 * (tol + _EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)
-    for k in (np.conj(left) @ right for left, right in ((m1, m2.T), (m2.T, m1))):  # K, then K' only when asked for
-        lam, *vectors = _eigenvectors(k.tolist())
+    (t00, t01), (t10, t11) = m2t
+    k = [[p.conjugate() * t00 + q.conjugate() * t10, p.conjugate() * t01 + q.conjugate() * t11] for p, q in m1]  # K = conj(M1) M2^T
+    lam, *vectors = _eigenvectors(k)
+    for player in (1, 2):
         if eta >= lam:
             yield np.r_[0, per_row : n - per_row + 1]  # every strategy: a pole is its phi = 0 point alone
             continue
+        if player == 2:  # player two's best responses to K's eigenvectors
+            vectors = [tuple(z.conjugate() for z in _contract(m2t, *e)) for e in vectors]
         radius = eta / lam
         first, count = _cap_rows(np.array([math.atan2(abs(v1), abs(v0)) for v0, v1 in vectors]), math.asin(radius) + _CAP_GUARD, grid.theta_points)
         rows = sorted({row for f, c in zip(first.tolist(), count.tolist()) for row in range(f, f + c)})
@@ -377,19 +376,18 @@ def _candidate_pairs(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.nda
     run only on the pairs of grid strategies in _window_pairs' windows.  A
     passing pair also lies near K's eigenvectors (_strategy_sets), so when
     one player has no grid strategy there, as on Haar-random games at
-    tol 1e-9, neither the grid's amplitude arrays nor any cap is built;
-    when it is player one, K' is not formed either.  Past that exit the
-    grid is built once, here.
+    tol 1e-9, neither the grid's amplitude arrays nor any cap is built.
+    Past that exit the grid is built once, here.
     """
-    m1, m2 = _target_matrices(g)
-    if not all(kept.size for kept in _strategy_sets(m1, m2, tol, grid)):
+    m1, m2t = _target_matrices(g)
+    if not all(kept.size for kept in _strategy_sets(m1, m2t, tol, grid)):
         return np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
     thetas, _, x, y = _grid_amplitudes(grid)
     n, per_row = x.size, grid.phi_points
 
     # Each player's coefficient pair and best value against every opposing grid strategy.
     a1, b1 = _contract(m1, x, y)
-    a2, b2 = _contract(m2.T, x, y)
+    a2, b2 = _contract(m2t, x, y)
     abs_a1, abs_b1, abs_a2, abs_b2 = np.abs(a1), np.abs(b1), np.abs(a2), np.abs(b2)
     best1, best2 = np.hypot(abs_a1, abs_b1), np.hypot(abs_a2, abs_b2)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .qcore import GameUnitary, QubitState, TwoQubitState, _is_int, apply, tensor
 
 
@@ -94,16 +92,16 @@ def _modulus_payoff(modulus: float) -> float:
     return math.acos(min(1.0, max(0.0, modulus**2)))
 
 
-def _target_matrices(g: QuantumGame) -> tuple[np.ndarray, np.ndarray]:
-    """M1 and M2: each player's target row of U reshaped to 2x2, so their amplitude is a^T M b."""
+def _target_matrices(g: QuantumGame) -> tuple[list, list]:
+    """M1 and M2^T as nested lists of Python complex: Mi is player i's target row of U reshaped to 2x2, so their amplitude is a^T Mi b."""
     u = g.u.mat
-    return u[g.prefs.player1_target].reshape(2, 2), u[g.prefs.player2_target].reshape(2, 2)
+    return u[g.prefs.player1_target].reshape(2, 2).tolist(), u[g.prefs.player2_target].reshape(2, 2).T.tolist()
 
 
 def _contract(m, x, y):
     """m @ (x, y) for a 2x2 m, written out for scalars and grid arrays alike.
 
-    m may be an array or nested lists.  Scalars and arrays do not round
+    m is nested lists, as _target_matrices gives.  Scalars and arrays do not round
     alike: numpy's array complex multiply differs in the last ulp from the
     scalar product in about half of random cases, so a grid check can
     disagree at the margin with the certificate of the same play.
@@ -123,6 +121,5 @@ def _play_contraction(m1: list, m2t: list, a: list, b: list) -> tuple:
 
 def payoffs(g: QuantumGame, p: Play) -> tuple[float, float]:
     """Both players' payoff angles at the given play, from _play_contraction as its certificate's are."""
-    m1, m2 = _target_matrices(g)
-    *_, achieved1, achieved2 = _play_contraction(m1.tolist(), m2.T.tolist(), p.a.vec.tolist(), p.b.vec.tolist())
+    *_, achieved1, achieved2 = _play_contraction(*_target_matrices(g), p.a.vec.tolist(), p.b.vec.tolist())
     return _modulus_payoff(achieved1), _modulus_payoff(achieved2)

@@ -30,6 +30,10 @@ class SynthesisError(QGameError):
 
 _GROUND_PLAY = Play(KET0, KET0)
 
+# Largest off-basis amplitude modulus that _basis_component reads as rounding: a basis state rebuilt from
+# Bloch angles carries about 6e-17 there, and 1e-9 moves a target amplitude by at most the default tol.
+_BASIS_ROUNDING = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class MechanismTarget:
@@ -70,9 +74,9 @@ class MechanismCertification:
 
 def _basis_component(s: QubitState, what: str) -> tuple[int, complex]:
     """Basis index and unit phase of a computational basis state."""
-    if abs(s.y) <= 1e-9:
+    if abs(s.y) <= _BASIS_ROUNDING:
         index, amp = 0, s.x
-    elif abs(s.x) <= 1e-9:
+    elif abs(s.x) <= _BASIS_ROUNDING:
         index, amp = 1, s.y
     else:
         raise SynthesisError(

@@ -28,6 +28,12 @@ def run_cli(args: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def target_arrays(g: QuantumGame) -> tuple[np.ndarray, np.ndarray]:
+    """M1 and M2 as 2x2 arrays, from qgame's _target_matrices lists of M1 and M2^T."""
+    m1, m2t = _target_matrices(g)
+    return np.array(m1), np.array(m2t).T
+
+
 def _carry(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """A 2x2 unitary taking the unit vector source to target."""
     def frame(v):
@@ -46,7 +52,7 @@ def planted_game(rng: np.random.Generator, grid: GridSpec) -> tuple[QuantumGame,
     """
     u = random_unitary(rng)
     t1, t2 = rng.choice(4, size=2, replace=False).tolist()
-    m1, m2 = _target_matrices(QuantumGame(u, PreferenceProfile(t1, t2)))
+    m1, m2 = target_arrays(QuantumGame(u, PreferenceProfile(t1, t2)))
     a = np.linalg.eig(np.conj(m1) @ m2.T)[1][:, rng.integers(2)]
     b = np.conj(m2.T @ a) / np.linalg.norm(m2.T @ a)
     _, _, x, y = _grid_amplitudes(grid)

@@ -13,7 +13,7 @@ every kept one.  The library's pruned scan must return the same passing
 pairs, and its bucketed dedup must keep the oracles' representatives,
 pair indices and payoff bits, bit for bit.  dense_strategy_sets is the
 plain form of the scan's eigen-window sets: every grid strategy tested
-against both players' eigenvectors.
+against the eigenvectors of each player's matrix, K' formed for player two.
 
 scalar_verify_equilibrium is the per-play certification that
 verify_equilibria replaced: the two coefficient contractions M1 b and
@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from helpers import certificate_fields
+from helpers import certificate_fields, target_arrays
 from qgame import equilibria
 from qgame.game import Play, StrategyParams
 from qgame.qcore import TOL, NormalizationError, QubitState
@@ -129,14 +129,15 @@ def dense_candidate_pairs(g, grid, tol: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 def dense_strategy_sets(g, grid, tol: float) -> list[np.ndarray]:
-    """Both players' eigen-window sets, K's and then K''s, with every grid strategy tested.
+    """Both players' eigen-window sets, of K = conj(M1) M2^T and K' = conj(M2^T) M1, with every grid strategy tested.
 
-    A strategy s is kept when it lies within r = eta / |lambda| of either
-    eigenvector v, |v0 y - v1 x| <= r |v|, as in _strategy_sets, which tests
-    only the rows of each vector's cap and forms K' only when asked for.
+    A strategy s is kept when it lies within r = eta / |lambda| of either of
+    the matrix's eigenvectors v, |v0 y - v1 x| <= r |v|, as in _strategy_sets,
+    which tests only the rows of each vector's cap, and forms no K': it takes
+    player two's vectors as the best responses conj(M2^T e) to K's.
     """
     _, _, x, y = equilibria._grid_amplitudes(grid)
-    m1, m2 = equilibria._target_matrices(g)
+    m1, m2 = target_arrays(g)
     eta = 2.0 * math.sqrt(2.0 * (tol + equilibria._EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)
     strategy = ~np.isin(np.arange(x.size), pole_copies(grid))
     sets = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import STRATA, certificate_table, perturbed_game, planted_game, stratum_game
+from helpers import STRATA, certificate_table, perturbed_game, planted_game, stratum_game, target_arrays
 from oracles import (
     bloch_grid,
     certificate_bits,
@@ -835,15 +835,28 @@ def test_pruned_scan_matches_dense_oracle_at_the_strata_edges(tol):
 def test_closed_form_eigenvectors_hold_at_the_strata_edges():
     """_eigenvectors' two vectors of K and of K' are eigenvectors to rounding, on every stratum and near each degenerate one.
 
-    |v0 (Kv)1 - v1 (Kv)0| / |v|^2 is the part of Kv off v's line, here relative to |K|.
+    |v0 (Kv)1 - v1 (Kv)0| / |v|^2 is the part of Kv off v's line, here relative to |K|.  K' = conj(M2^T) M1
+    has K's |lambda| to rounding.  Wherever _strategy_sets reads the vectors, |lambda| > eta(0), player
+    two's best responses conj(M2^T e) to K's vectors lie within a millionth of the radius eta(0) / |lambda|
+    of K''s vectors, in the sine of the angle between them.
     """
+    eta = 2.0 * math.sqrt(2.0 * equilibria._EIGEN_GUARD) * (1.0 + 4.0 * TOL.unitarity)
+    read = 0
     for g in edge_games():
-        m1, m2 = equilibria._target_matrices(g)
-        for k in (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1):
-            _, *vectors = equilibria._eigenvectors(k.tolist())
+        m1, m2 = target_arrays(g)
+        ks = np.conj(m1) @ m2.T, np.conj(m2.T) @ m1
+        (lam, *e), (lam_prime, *f) = (equilibria._eigenvectors(k.tolist()) for k in ks)
+        for k, vectors in zip(ks, (e, f)):
             for v in map(np.array, vectors):
                 kv = k @ v
                 assert abs(v[0] * kv[1] - v[1] * kv[0]) <= 1e-15 * np.vdot(v, v).real * np.linalg.norm(k)
+        assert abs(lam_prime**2 - lam**2) <= 1e-15
+        if lam > eta:
+            read += 1
+            for w in (np.conj(m2.T @ np.array(v)) for v in e):
+                sine = min(abs(w[0] * v1 - w[1] * v0) / np.linalg.norm(w) / math.hypot(abs(v0), abs(v1)) for v0, v1 in f)
+                assert sine <= 1e-6 * eta / lam
+    assert read >= 15
 
 
 def test_passing_pairs_lie_within_the_eigen_radius():
@@ -862,7 +875,7 @@ def test_passing_pairs_lie_within_the_eigen_radius():
     games += [stratum_game(rng, "2,2") for _ in range(12)]
     worst = 0.0
     for g in games:
-        m1, m2 = equilibria._target_matrices(g)
+        m1, m2 = target_arrays(g)
         s1, s2 = np.linalg.norm(m1, 2), np.linalg.norm(m2, 2)
         for tol in (1e-9, 1e-6, 1e-4, 1e-2):
             i, j = np.divmod(dense_candidate_pairs(g, grid, tol)[0], x.size)
@@ -921,26 +934,27 @@ def test_haar_scans_never_reach_the_windows(monkeypatch):
         assert equilibria._candidate_pairs(g, grid, TOL.equilibrium)[0].size == 0
 
 
-def count_eigenvector_calls(monkeypatch) -> list:
-    """A list that gets one entry per _eigenvectors call from now on."""
+def count_calls(monkeypatch, name: str) -> list:
+    """A list that gets one entry per call of equilibria's function name from now on."""
     calls = []
-    eigenvectors = equilibria._eigenvectors
-    monkeypatch.setattr(equilibria, "_eigenvectors", lambda k: calls.append(k) or eigenvectors(k))
+    original = getattr(equilibria, name)
+    monkeypatch.setattr(equilibria, name, lambda *args: calls.append(args) or original(*args))
     return calls
 
 
 def test_analyze_random_searches_form_one_eigen_basis(monkeypatch):
-    """On the benchmark's 72 analyze_random inputs, player one's eigen-window set is empty, so no search forms K'.
+    """On the benchmark's 72 analyze_random inputs, player one's eigen-window set is empty, so no search forms player two's.
 
     Its six Haar gates, drawn from seed 13040748, at each preference pair, on the 41x80 grid at the default tol.
     """
-    calls = count_eigenvector_calls(monkeypatch)
+    calls, caps = count_calls(monkeypatch, "_eigenvectors"), count_calls(monkeypatch, "_cap_rows")
     rng = np.random.default_rng(13040748)
     for u in [random_unitary(rng) for _ in range(6)]:
         for prefs in ALL_PREFS:
             calls.clear()
+            caps.clear()
             assert equilibria._search_rows(QuantumGame(u, PreferenceProfile(*prefs)), GridSpec(41, 80), TOL.equilibrium)[2] == []
-            assert len(calls) == 1
+            assert len(calls) == 1 and len(caps) == 1
 
 
 def rank_edge_cases():
@@ -952,7 +966,7 @@ def rank_edge_cases():
     rng = np.random.default_rng(157)
     cases = []
     for g in [perturbed_game(rng, stratum, eps) for stratum in STRATA[1:] for eps in (1e-2, 1e-3, 1e-4)]:
-        m1, m2 = equilibria._target_matrices(g)
+        m1, m2 = target_arrays(g)
         lam = equilibria._eigenvectors((np.conj(m1) @ m2.T).tolist())[0]
         for scale in (1.0 - 1e-3, 1.0 + 1e-3):
             tol = (lam * scale / (2.0 * (1.0 + 4.0 * TOL.unitarity))) ** 2 / 2.0 - equilibria._EIGEN_GUARD
@@ -962,27 +976,38 @@ def rank_edge_cases():
 
 
 def test_scans_form_both_eigen_sets_only_past_a_non_empty_first_and_as_the_dense_oracle(monkeypatch):
-    """A scan forms K''s eigenvectors only when player one's set is non-empty, and both sets are dense_strategy_sets'.
+    """A scan forms K's eigenvectors once, and player two's set only past a non-empty first; sets and pairs are the dense oracles'.
 
     On every stratum, near each degenerate one and on planted games, at tols from 0 to 1e-2,
-    and near each degenerate stratum at the tols on both sides of the rank rule: some scans
-    stop after player one's set, and some form both.
+    near each degenerate stratum at the tols on both sides of the rank rule, and on 100 Haar
+    games at tol 1e-5.  dense_strategy_sets forms K' = conj(M2^T) M1 for player two, so it
+    checks _strategy_sets' best responses conj(M2^T e) independently, and _candidate_pairs
+    returns dense_candidate_pairs' pairs and payoffs bit for bit.  Some scans stop after player
+    one's set (one cap), and on some Haar games player two's empty set alone ends the scan.
     """
     grid = GridSpec(13, 24)
     rng = np.random.default_rng(151)
     games = edge_games() + [planted_game(rng, grid)[0] for _ in range(12)]
     cases = [(g, tol) for g in games for tol in (0.0, 1e-15, 1e-9, 1e-2)] + [(g, tol) for g, tol, _ in rank_edge_cases()]
-    calls = count_eigenvector_calls(monkeypatch)
-    formed = []
+    rng = np.random.default_rng(167)
+    cases += [(QuantumGame(random_unitary(rng), random_prefs(rng)), 1e-5) for _ in range(100)]
+    calls, caps = count_calls(monkeypatch, "_eigenvectors"), count_calls(monkeypatch, "_cap_rows")
+    ends = []
     for g, tol in cases:
         expected = dense_strategy_sets(g, grid, tol)
         calls.clear()
-        equilibria._candidate_pairs(g, grid, tol)
-        formed.append(len(calls))
-        assert len(calls) == (2 if expected[0].size else 1)
+        caps.clear()
+        got = equilibria._candidate_pairs(g, grid, tol)
+        assert len(calls) == 1
+        if not expected[0].size:
+            assert len(caps) == 1  # player one's cap rows alone
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in dense_candidate_pairs(g, grid, tol)]
         (set1, set2), _ = eigen_sets(g, grid, tol)
         assert [set1.tobytes(), set2.tobytes()] == [s.tobytes() for s in expected]
-    assert set(formed) == {1, 2}
+        if not (set1.size and set2.size):
+            assert got[0].size == 0
+        ends.append((set1.size > 0, set2.size > 0))
+    assert any(not one for one, _ in ends) and ends[-100:].count((True, False)) >= 15
 
 
 @pytest.mark.parametrize("grid", [GridSpec(13, 24), GridSpec(41, 80)], ids=["13x24", "41x80"])
@@ -999,7 +1024,7 @@ def test_rank_rule_at_its_edge_keeps_the_dense_sets_and_forms_only_cap_rows(grid
     eta_of = lambda tol: 2.0 * math.sqrt(2.0 * (tol + equilibria._EIGEN_GUARD)) * (1.0 + 4.0 * TOL.unitarity)  # noqa: E731
     pruned = False
     for g, tol, reaches in rank_edge_cases():
-        m1, m2 = equilibria._target_matrices(g)
+        m1, m2 = target_arrays(g)
         ks = (np.conj(m1) @ m2.T, np.conj(m2.T) @ m1)
         lam = math.sqrt(abs(np.linalg.det(ks[0])))
         assert (eta_of(tol) >= lam) == reaches
@@ -1036,8 +1061,8 @@ def threshold_tolerances(g, grid, count, poles_only=False):
     With poles_only, only pairs of grid strategies in which a player plays a pole count.
     """
     _, _, x, y = equilibria._grid_amplitudes(grid)
-    m1, m2 = equilibria._target_matrices(g)
-    (a1, b1), (a2, b2) = equilibria._contract(m1, x, y), equilibria._contract(m2.T, x, y)
+    m1, m2t = equilibria._target_matrices(g)
+    (a1, b1), (a2, b2) = equilibria._contract(m1, x, y), equilibria._contract(m2t, x, y)
     gap1 = np.hypot(np.abs(a1), np.abs(b1)) - np.abs(x[:, None] * a1 + y[:, None] * b1)  # [i, j]
     gap2 = np.hypot(np.abs(a2), np.abs(b2))[:, None] - np.abs(a2[:, None] * x + b2[:, None] * y)
     if poles_only:
@@ -1239,7 +1264,7 @@ def test_k_is_traceless_and_squares_to_minus_its_determinant():
     unitaries = [entry.unitary for entry in LIBRARY.values()] + [random_unitary(rng) for _ in range(50)]
     for u in unitaries:
         for prefs in ALL_PREFS:
-            m1, m2 = equilibria._target_matrices(QuantumGame(u, PreferenceProfile(*prefs)))
+            m1, m2 = target_arrays(QuantumGame(u, PreferenceProfile(*prefs)))
             k = np.conj(m1) @ m2.T
             assert abs(np.trace(k)) <= 1e-12
             assert np.max(np.abs(k @ k + np.linalg.det(k) * np.eye(2))) <= 1e-12
@@ -1261,7 +1286,7 @@ def test_stratum_games_hold_their_signature(stratum, seed):
     so player two's achieved and best are both 0.  (1, 2) is the mirror: a = conj(u1), b = conj(M2^T a).
     """
     g = stratum_game(np.random.default_rng(seed), stratum)
-    m1, m2 = equilibria._target_matrices(g)
+    m1, m2 = target_arrays(g)
     k = np.conj(m1) @ m2.T
     for rank, m in zip((int(stratum[0]), int(stratum[2])), (m1, m2)):
         sigma_min = np.linalg.svd(m, compute_uv=False)[-1]

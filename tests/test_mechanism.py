@@ -86,6 +86,23 @@ def test_constraints_reject_superposition_input():
         derive_constraints(MechanismTarget(bell_state(), input_play=Play(plus, KET0)))
 
 
+@pytest.mark.parametrize("basis", [0, 1])
+@pytest.mark.parametrize("player", [1, 2])
+def test_basis_inputs_take_an_off_basis_amplitude_up_to_1e_9(player, basis):
+    """An input whose other amplitude has modulus 1e-9 (1 - 1e-3) reads as |basis>; at 1e-9 (1 + 1e-3) it raises."""
+    ket = (KET0, KET1)[basis]
+    exact = [(c.row, c.col, c.kind, c.value) for c in derive_constraints(MechanismTarget(bell_state(), input_play=Play(ket, ket)))]
+    for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+        off, on = 1e-9 * scale * np.exp(0.7j), math.sqrt(1.0 - (1e-9 * scale) ** 2)
+        state = QubitState.from_amplitudes(*((on, off) if basis == 0 else (off, on)))
+        target = MechanismTarget(bell_state(), input_play=Play(state, ket) if player == 1 else Play(ket, state))
+        if scale < 1.0:
+            assert [(c.row, c.col, c.kind, c.value) for c in derive_constraints(target)] == exact
+        else:
+            with pytest.raises(SynthesisError, match="computational basis state"):
+                derive_constraints(target)
+
+
 # ---------------------------------------------------------------- synthesis
 
 
