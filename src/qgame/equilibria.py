@@ -155,23 +155,9 @@ def verify_equilibrium(g: QuantumGame, p: Play, tol: float = TOL.equilibrium) ->
     best-response strategy, rounded as a played one's; the play is
     certified when neither fails.  On failure the witness is that strategy
     of the first failing player, so applying it raises that player's
-    amplitude by more than tol.  This is verify_equilibria for one play,
-    whose certificate carries p itself.
+    amplitude by more than tol.  The certificate carries p itself.
     """
     return _certificate(p, _certify(g, [p.a.vec.tolist()], [p.b.vec.tolist()], tol)[0])
-
-
-def verify_equilibria(g: QuantumGame, a, b, tol: float = TOL.equilibrium) -> list[EquilibriumCertificate]:
-    """verify_equilibrium for the plays (a[k], b[k]) of two (n, 2) strategy arrays, in one pass.
-
-    Each row must be a valid QubitState vector; an invalid row raises
-    NormalizationError as QubitState would.  No joint state is formed, and
-    every certificate equals verify_equilibrium's for the play, bit for bit.
-    """
-    a, b = _unit_rows(a, 2, "qubit state"), _unit_rows(b, 2, "qubit state")
-    if a.shape != b.shape:
-        raise ValueError(f"strategy arrays hold {a.shape[0]} and {b.shape[0]} rows")
-    return list(map(_certificate, map(Play, _wrap_rows(QubitState, a), _wrap_rows(QubitState, b)), _certify(g, a.tolist(), b.tolist(), tol)))
 
 
 def _check_tol(tol: float) -> None:
@@ -443,7 +429,7 @@ def _search_rows(g: QuantumGame, grid: GridSpec, tol: float) -> tuple[np.ndarray
     if not pair_index.size:  # no candidates, as on generic games at tol 1e-9: skip the empty-array set-up
         return np.zeros((0, 2), complex), np.zeros((0, 2), complex), []
     i, j = np.divmod(pair_index[_dedup_payoffs(payoff1, payoff2, TOL.payoff_dedup)], grid.theta_points * grid.phi_points)
-    a, b = (_unit_rows(np.column_stack(_grid_points(grid, k)[2:]), 2, "qubit state") for k in (i, j))
+    a, b = (_unit_rows(np.column_stack(_grid_points(grid, k)[2:]), "qubit state") for k in (i, j))
     return a, b, _certify(g, a.tolist(), b.tolist(), tol)
 
 

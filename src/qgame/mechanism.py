@@ -34,6 +34,20 @@ _GROUND_PLAY = Play(KET0, KET0)
 # Bloch angles carries about 6e-17 there, and 1e-9 moves a target amplitude by at most the default tol.
 _BASIS_ROUNDING = 1e-9
 
+# Largest target-column modulus that derive_constraints reports as an exact zero: a thousandth of the
+# default tol, so no verdict at that tol can tell such an amplitude from 0.  bench/checks.py reads the same cut.
+_ZERO_ENTRY = 1e-12
+
+# Smallest residual of an existing column, restricted to _constrained_unit's coordinates, that it keeps
+# as a direction to avoid: a smaller one lies in the span of those before it up to rounding, and
+# normalizing it would turn that rounding into a spurious direction.
+_RESIDUAL_FLOOR = 1e-12
+
+# Excess over its cap that _enforce_modulus_cap leaves as rounding: a completion entry that is 0 but for
+# rounding, as the ground play's improvement entry is (at most 1.3e-16 over 2,000 random targets), is not
+# rotated for a cap of 0.
+_CAP_ROUNDING = 1e-15
+
 
 @dataclass(frozen=True, eq=False)
 class MechanismTarget:
@@ -126,7 +140,7 @@ def derive_constraints(t: MechanismTarget) -> list[EntryConstraint]:
     constraints: list[EntryConstraint] = []
     for row in range(4):
         value = complex(column[row])
-        zero = abs(value) <= 1e-12
+        zero = abs(value) <= _ZERO_ENTRY
         constraints.append(
             EntryConstraint(
                 row + 1, k + 1, "equals_zero" if zero else "equals_value", 0j if zero else value, None,
@@ -158,7 +172,7 @@ def _constrained_unit(existing: list[np.ndarray], zero_row: int) -> np.ndarray:
     for c in existing:
         r = _project_out(c[coords], forbidden)
         norm = float(np.linalg.norm(r))
-        if norm >= 1e-12:
+        if norm >= _RESIDUAL_FLOOR:
             forbidden.append(r / norm)
     v = np.zeros(4, dtype=complex)
     v[coords] = _seeded_unit(forbidden, size=3)[1]
@@ -173,7 +187,7 @@ def _enforce_modulus_cap(mat: np.ndarray, row: int, col: int, cap: float, fixed_
     """
     u = mat.copy()
     entry = u[row, col]
-    if abs(entry) <= cap + 1e-15:
+    if abs(entry) <= cap + _CAP_ROUNDING:
         return u
     partners = [c for c in range(4) if c not in (fixed_col, col)]
     p1, p2 = partners

@@ -57,11 +57,9 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _unit_rows(values, size: int, what: str) -> np.ndarray:
-    """Read-only complex (n, size) copy of values, each row checked for finiteness and unit norm."""
+def _unit_rows(values, what: str) -> np.ndarray:
+    """Read-only complex copy of the 2-D array values, each row checked for finiteness and unit norm."""
     v = np.array(values, dtype=complex)
-    if v.ndim != 2 or v.shape[1] != size:
-        raise NormalizationError(f"{what} rows must have exactly {size} amplitudes, got shape {np.shape(values)}")
     if not np.isfinite(v).all():
         raise NormalizationError(f"{what} contains non-finite amplitudes")
     for norm_sq in (abs(v) ** 2).sum(axis=1).tolist():
@@ -76,7 +74,7 @@ def _unit_vector(values, size: int, what: str) -> np.ndarray:
     v = np.asarray(values).reshape(-1)
     if v.shape != (size,):
         raise NormalizationError(f"{what} must have exactly {size} amplitudes, got shape {np.shape(values)}")
-    return _unit_rows(v[None], size, what)[0]
+    return _unit_rows(v[None], what)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +152,7 @@ class GameUnitary:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex)  # a copy: freezing it leaves the caller's array writeable
         if m.shape != (4, 4):
             raise UnitarityError(f"game unitary must be 4x4, got shape {m.shape}")
         if not np.all(np.isfinite(m)):

@@ -15,12 +15,12 @@ pair indices and payoff bits, bit for bit.  dense_strategy_sets is the
 plain form of the scan's eigen-window sets: every grid strategy tested
 against the eigenvectors of each player's matrix, K' formed for player two.
 
-scalar_verify_equilibrium is the per-play certification that
-verify_equilibria replaced: the two coefficient contractions M1 b and
-M2^T a written out per play from the target rows, and each achieved
-modulus taken as the played strategy's contraction with its pair; a
-best response whose own contraction gains no more than tol is no
-witness.  verify_equilibria must reproduce its certificates bit for bit,
+scalar_verify_equilibrium is the plain form of the certification: the
+two coefficient contractions M1 b and M2^T a written out per play from
+the target rows, and each achieved modulus taken as the played
+strategy's contraction with its pair; a best response whose own
+contraction gains no more than tol is no witness.  verify_equilibrium
+must reproduce its certificates bit for bit,
 and scalar_search_certificates is the search recertified that way, with
 each strategy built from its Bloch angles.  reference_outcome, U (a kron b) by
 np.kron and a plain matvec, is the reference for apply.

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import certificate_table, run_cli
+from helpers import certificate_table, run_cli, stratum_game
 from oracles import dense_candidate_pairs, per_play_certify, quadratic_dedup
 from qgame import cli, equilibria
-from qgame.equilibria import response_coefficients, verify_equilibria, verify_equilibrium
+from qgame.equilibria import response_coefficients, verify_equilibrium
 from qgame.game import Play, PreferenceProfile, QuantumGame
 from qgame.gates import CNOT, LIBRARY, bell_state, load_gate_file, save_gate_file
 from qgame.qcore import KET0, KET1, QubitState, check_unitary, random_unitary
@@ -222,8 +222,8 @@ def test_command_stdout_is_indented_json_dumps(args):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
-def certificate_rows(g, rng, count):
-    """Strategy rows (a, b) of plays that give every certificate layout.
+def certificate_plays(g, rng, count):
+    """Plays that give every certificate layout.
 
     count random plays (mostly player one's witness), as many with player
     one at a best response (player two's witness), the two eigenvector
@@ -250,7 +250,7 @@ def certificate_rows(g, rng, count):
     signed = np.array([[complex(1.0, -0.0), complex(-0.0, -0.0)], [complex(-0.0, 0.0), complex(-1.0, -0.0)]])
     a += [signed[0], signed[1]]
     b += [signed[1], signed[0]]
-    return np.array(a), np.array(b)
+    return [Play(QubitState(x), QubitState(y)) for x, y in zip(a, b)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +265,7 @@ def test_certificate_template_matches_dict_writer(seed, count, tol, depth):
     rng = np.random.default_rng(seed)
     t1, t2 = rng.choice(4, size=2, replace=False).tolist()
     g = QuantumGame(random_unitary(rng), PreferenceProfile(t1, t2))
-    certs = verify_equilibria(g, *certificate_rows(g, rng, count), tol)
+    certs = [verify_equilibrium(g, p, tol) for p in certificate_plays(g, rng, count)]
     indent = "\n" + "  " * depth
     dicts = [cli._certificate_dict(c) for c in certs]
     text = cli._certificates_text(*certificate_table(certs), indent)
@@ -278,7 +278,7 @@ def test_certificate_rows_give_every_layout():
     rng = np.random.default_rng(5)
     for prefs in [(0, 1), (3, 2), (1, 3)]:
         g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
-        certs = verify_equilibria(g, *certificate_rows(g, rng, 4), 1e-9)
+        certs = [verify_equilibrium(g, p, 1e-9) for p in certificate_plays(g, rng, 4)]
         assert {c.witness_player for c in certs} == {None, 1, 2}
     assert cli._certificates_text(*certificate_table([]), "\n  ") == "[]"
 
@@ -324,7 +324,7 @@ def test_analyze_csv_rows_are_each_certificates_repr_cells(seed, count, tol):
     rng = np.random.default_rng(seed)
     t1, t2 = rng.choice(4, size=2, replace=False).tolist()
     g = QuantumGame(random_unitary(rng), PreferenceProfile(t1, t2))
-    certs = verify_equilibria(g, *certificate_rows(g, rng, count), tol)
+    certs = [verify_equilibrium(g, p, tol) for p in certificate_plays(g, rng, count)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_search_rows", lambda *args: certificate_table(certs))
         code, out, _ = run_cli(["analyze", "cnot", "--csv", "--grid-theta", "2", "--grid-phi", "3"])
@@ -334,11 +334,18 @@ def test_analyze_csv_rows_are_each_certificates_repr_cells(seed, count, tol):
 
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_analyze_without_equilibria_for_an_odd_gate_name(tmp_path, fmt):
-    """No certificates and a name holding the report's own key text: json.dumps's text, or a header alone."""
+    """No certificates and a name holding the report's own key text: json.dumps's text, or a header alone.
+
+    The game is rank (1, 1): its list is empty because its equilibrium families miss the grid's
+    lattice, not because the grid misses a generic game's two isolated equilibria.  Its preferences
+    are passed, since under the default (0, 1) the same file is another, generic game.
+    """
     name = '"equilibria": [] \\" \\\\ \u00e9'
     path = tmp_path / "odd.json"
-    save_gate_file(path, name, random_unitary(np.random.default_rng(1018)))
-    code, out, _ = run_cli(["analyze", str(path)] + fmt)
+    g = stratum_game(np.random.default_rng(1018), "1,1 K=0")
+    save_gate_file(path, name, g.u)
+    prefs = f"{g.prefs.player1_target},{g.prefs.player2_target}"
+    code, out, _ = run_cli(["analyze", str(path), "--prefs", prefs] + fmt)
     assert code == 0
     if fmt:
         assert len(out.splitlines()) == 1 and out.startswith("x1_re,")

@@ -35,7 +35,6 @@ from qgame.equilibria import (
     feasibility_region,
     response_coefficients,
     search_equilibria,
-    verify_equilibria,
     verify_equilibrium,
 )
 from qgame.game import Play, PreferenceProfile, QuantumGame, outcome, payoffs
@@ -215,7 +214,8 @@ def test_every_witness_strictly_improves_even_on_a_tiny_pair(tol):
         games = [QuantumGame(random_unitary(rng), random_prefs(rng))]
         games += [perturbed_game(rng, stratum, eps) for stratum in STRATA for eps in (0.0, 1e-16, 1e-9)]
         for g in games:
-            for play, cert in zip(plays := witness_test_plays(g, rng), verify_equilibria(g, *stacked(plays), tol)):
+            for play in witness_test_plays(g, rng):
+                cert = verify_equilibrium(g, play, tol)
                 if cert.witness is None:
                     continue
                 if cert.witness_player == 1:
@@ -341,7 +341,7 @@ def test_player_swap_is_a_symmetry():
     assert verdicts == {True, False}  # both verdicts must be exercised
 
 
-# ------------------------------------------------------ batched certification
+# ------------------------------------------ certification against the oracles
 
 
 def k_equilibria(g):
@@ -353,10 +353,6 @@ def k_equilibria(g):
         a = QubitState(v / np.linalg.norm(v))
         plays.append(Play(a, best_response_strategy(g, 2, a)))
     return plays
-
-
-def stacked(plays):
-    return np.array([p.a.vec for p in plays]), np.array([p.b.vec for p in plays])
 
 
 @pytest.mark.parametrize("tol", [1e-11, 1e-12])
@@ -379,15 +375,15 @@ def test_certificate_amplitudes_are_the_computed_states(seed, prefs, count):
     rng = np.random.default_rng(seed)
     g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
     plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(count)] + k_equilibria(g)
-    for play, cert in zip(plays, verify_equilibria(g, *stacked(plays))):
-        out = outcome(g, play)
+    for play in plays:
+        cert, out = verify_equilibrium(g, play), outcome(g, play)
         assert abs(cert.achieved1 - abs(out.amplitude(prefs[0]))) <= 1e-12
         assert abs(cert.achieved2 - abs(out.amplitude(prefs[1]))) <= 1e-12
         assert payoffs(g, play) == (cert.payoff1, cert.payoff2)
 
 
-def test_verify_equilibria_matches_scalar_oracle_bit_for_bit():
-    """1,000 seeded plays, each game's plays certified as one mixed batch and one at a time."""
+def test_verify_equilibrium_matches_scalar_oracle_bit_for_bit():
+    """1,000 seeded plays, each game's random plays and eigenvector equilibria certified in shuffled order."""
     rng = np.random.default_rng(4242)
     verdicts, witness_players = [], set()
     for n in range(100):
@@ -395,17 +391,14 @@ def test_verify_equilibria_matches_scalar_oracle_bit_for_bit():
         plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(8)] + k_equilibria(g)
         rng.shuffle(plays)
         tol = (1e-9, 1e-6, 1e-2)[n % 3]
-        expected = [certificate_bits(scalar_verify_equilibrium(g, p, tol)) for p in plays]
-        batch = verify_equilibria(g, *stacked(plays), tol)
-        assert [certificate_bits(c) for c in batch] == expected
-        for play, want in zip(plays, expected):
+        for play in plays:
             cert = verify_equilibrium(g, play, tol)
             assert cert.play is play
-            assert certificate_bits(cert) == want
-        verdicts += [c.is_equilibrium for c in batch]
-        witness_players |= {c.witness_player for c in batch}
+            assert certificate_bits(cert) == certificate_bits(scalar_verify_equilibrium(g, play, tol))
+            verdicts.append(cert.is_equilibrium)
+            witness_players.add(cert.witness_player)
     assert len(verdicts) == 1000
-    assert 150 <= sum(verdicts) <= 900  # each batch mixes eigenvector equilibria with random plays
+    assert 150 <= sum(verdicts) <= 900  # each game mixes eigenvector equilibria with random plays
     assert witness_players == {None, 1, 2}
 
 
@@ -424,7 +417,7 @@ def test_every_witness_gains_more_than_tol(tol):
         g = QuantumGame(random_unitary(rng), random_prefs(rng))
         a, b = random_qubit_state(rng), random_qubit_state(rng)
         plays = [Play(best_response_strategy(g, 1, b), b), Play(a, best_response_strategy(g, 2, a)), Play(a, b)]
-        certs = verify_equilibria(g, *stacked(plays), tol)
+        certs = [verify_equilibrium(g, p, tol) for p in plays]
         assert [certificate_bits(c) for c in certs] == [certificate_bits(scalar_verify_equilibrium(g, p, tol)) for p in plays]
         for play, cert in zip(plays, certs):
             if cert.is_equilibrium:
@@ -459,30 +452,15 @@ def test_a_certificate_passes_by_the_witness_rule_not_by_its_fields():
     assert above > 0
 
 
-def test_verify_equilibria_of_no_plays_is_empty():
-    g = QuantumGame(CNOT)
-    assert verify_equilibria(g, np.zeros((0, 2), complex), np.zeros((0, 2), complex)) == []
-
-
-def test_verify_equilibria_rows_are_checked_like_qubit_states():
-    g = QuantumGame(CNOT)
-    good = np.array([[1.0, 0.0], [0.6, 0.8j]])
+def test_verify_equilibrium_rows_are_checked_like_qubit_states():
+    """A strategy row that QubitState rejects cannot be played; one within TOL.state_norm certifies as the oracle does."""
     off = 1.0 + 2e-12  # norm^2 outside TOL.state_norm
     for bad in ([math.nan, 0.0], [math.inf, 0.0], [1.0, 1.0], [0.0, 0.0], [math.sqrt(off), 0.0]):
         with pytest.raises(NormalizationError):
             QubitState(np.array(bad))
-        rows = np.vstack([good, [bad]])
-        with pytest.raises(NormalizationError):
-            verify_equilibria(g, rows, np.vstack([good, [good[0]]]))
-        with pytest.raises(NormalizationError):
-            verify_equilibria(g, np.vstack([good, [good[0]]]), rows)
-    inside = np.array([[math.sqrt(1.0 + 5e-13), 0.0]])  # norm^2 drift within TOL.state_norm
-    cert = verify_equilibria(g, inside, good[:1])[0]
-    assert certificate_bits(cert) == certificate_bits(scalar_verify_equilibrium(g, Play(QubitState(inside[0]), KET0)))
-    with pytest.raises(NormalizationError):
-        verify_equilibria(g, np.ones((2, 3)) / math.sqrt(3.0), good)
-    with pytest.raises(ValueError):
-        verify_equilibria(g, good, good[:1])
+    inside = QubitState(np.array([math.sqrt(1.0 + 5e-13), 0.0]))  # norm^2 drift within TOL.state_norm
+    g, play = QuantumGame(CNOT), Play(inside, KET0)
+    assert certificate_bits(verify_equilibrium(g, play)) == certificate_bits(scalar_verify_equilibrium(g, play))
 
 
 def test_tensor_of_two_accepted_states_is_renormalized_not_rejected():
@@ -527,7 +505,7 @@ def test_drifting_row_is_renormalized_alone(drift, renormalized):
         assert changed == (renormalized and k == 2)
     assert abs(float(np.sum(np.abs(outcome(g, plays[2]).vec) ** 2)) - 1.0) <= TOL.state_norm
     expected = [certificate_bits(scalar_verify_equilibrium(g, p)) for p in plays]
-    assert [certificate_bits(c) for c in verify_equilibria(g, *stacked(plays))] == expected
+    assert [certificate_bits(verify_equilibrium(g, p)) for p in plays] == expected
 
 
 def test_reference_renormalizes_a_drifting_product_as_tensor_does():
@@ -584,8 +562,7 @@ def test_witnesses_improve_and_verdicts_ignore_global_phase(seed, prefs, count, 
     u = random_unitary(rng)
     g = QuantumGame(u, PreferenceProfile(*prefs))
     plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(count)] + k_equilibria(g)
-    a, b = stacked(plays)
-    certs = verify_equilibria(g, a, b, tol)
+    certs = [verify_equilibrium(g, p, tol) for p in plays]
     for play, cert in zip(plays, certs):
         if cert.is_equilibrium:
             assert cert.witness is None
@@ -596,7 +573,7 @@ def test_witnesses_improve_and_verdicts_ignore_global_phase(seed, prefs, count, 
             improved, target, before = Play(play.a, cert.witness), prefs[1], cert.achieved2
         assert abs(outcome(g, improved).amplitude(target)) > before + tol
     phased = QuantumGame(GameUnitary(np.exp(1j * alpha) * u.mat), g.prefs)
-    assert [c.is_equilibrium for c in verify_equilibria(phased, a, b, tol)] == [c.is_equilibrium for c in certs]
+    assert [verify_equilibrium(phased, p, tol).is_equilibrium for p in plays] == [c.is_equilibrium for c in certs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,10 +590,12 @@ def test_verdicts_ignore_a_local_phase(seed, prefs, count, tol, alpha, player):
     rng = np.random.default_rng(seed)
     g = QuantumGame(random_unitary(rng), PreferenceProfile(*prefs))
     plays = [Play(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(count)] + k_equilibria(g)
-    a, b = stacked(plays)
     phase = np.exp(1j * alpha)
-    certs = verify_equilibria(g, a, b, tol)
-    phased = verify_equilibria(g, a * phase, b, tol) if player == 1 else verify_equilibria(g, a, b * phase, tol)
+    certs = [verify_equilibrium(g, p, tol) for p in plays]
+    if player == 1:
+        phased = [verify_equilibrium(g, Play(QubitState(p.a.vec * phase), p.b), tol) for p in plays]
+    else:
+        phased = [verify_equilibrium(g, Play(p.a, QubitState(p.b.vec * phase)), tol) for p in plays]
     assert [c.is_equilibrium for c in phased] == [c.is_equilibrium for c in certs]
     assert any(c.is_equilibrium for c in certs)
     for c, d in zip(certs, phased):
@@ -669,7 +648,6 @@ def test_entry_points_reject_a_tol_that_is_not_finite_and_non_negative(tol):
     mechanism = synthesize_mechanism(target, "strict")
     calls = [
         lambda: verify_equilibrium(g, ground, tol),
-        lambda: verify_equilibria(g, *stacked([ground]), tol),
         lambda: search_equilibria(g, GridSpec(5, 8), tol),
         lambda: certify_mechanism(mechanism, target, tol),
     ]
@@ -683,7 +661,6 @@ def test_entry_points_accept_zero_and_the_capped_tol(tol):
     g, ground = QuantumGame(CNOT), Play(KET0, KET0)
     assert not verify_equilibrium(g, ground, tol).is_equilibrium
     assert verify_equilibrium(g, Play(KET0, KET1), tol).is_equilibrium
-    assert [c.is_equilibrium for c in verify_equilibria(g, *stacked([ground]), tol)] == [False]
     assert all(c.is_equilibrium for c in search_equilibria(g, GridSpec(5, 8), tol))
     target = bell_target()
     result = certify_mechanism(synthesize_mechanism(target, "strict"), target, tol)

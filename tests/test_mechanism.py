@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qgame import mechanism
 from qgame.game import Play, PreferenceProfile
 from qgame.gates import BELL_CIRCUIT, BELL_MECHANISM, IDENTITY, bell_state
 from qgame.mechanism import (
@@ -101,6 +102,35 @@ def test_basis_inputs_take_an_off_basis_amplitude_up_to_1e_9(player, basis):
         else:
             with pytest.raises(SynthesisError, match="computational basis state"):
                 derive_constraints(target)
+
+
+def test_a_target_entry_up_to_1e_12_is_pinned_as_zero():
+    """A column entry of modulus 1e-12 (1 - 1e-3) gives equals_zero; at 1e-12 (1 + 1e-3) it gives equals_value."""
+    for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+        small = 1e-12 * scale * np.exp(0.7j)
+        target = MechanismTarget(TwoQubitState(np.array([math.sqrt(1.0 - abs(small) ** 2), small, 0.0, 0.0])))
+        pinned = derive_constraints(target)[1]
+        assert (pinned.kind, pinned.value) == (("equals_zero", 0j) if scale < 1.0 else ("equals_value", small))
+
+
+def test_constrained_unit_avoids_a_column_residual_from_1e_12():
+    """A restricted column whose residual is 1e-12 (1 - 1e-3) is rounding and not avoided; at 1e-12 (1 + 1e-3) it is."""
+    for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+        existing = [np.array([1.0, 0.0, 0.0, 0.0], complex), np.array([1.0, 1e-12 * scale, 0.0, 0.0], complex)]
+        unit = mechanism._constrained_unit(existing, zero_row=3)
+        assert np.array_equal(unit, [0.0, 1.0, 0.0, 0.0] if scale < 1.0 else [0.0, 0.0, 1.0, 0.0])
+
+
+def test_modulus_cap_leaves_an_excess_up_to_1e_15():
+    """An entry 1e-15 (1 - 1e-3) over a cap of 0 is left as it is; at 1e-15 (1 + 1e-3) it is rotated under the cap."""
+    for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+        s = 1e-15 * scale
+        mat = np.eye(4, dtype=complex)
+        mat[:2, :2] = [[math.sqrt(1.0 - s * s), s], [-s, math.sqrt(1.0 - s * s)]]
+        capped = mechanism._enforce_modulus_cap(mat, 0, 1, 0.0, fixed_col=2)
+        assert np.array_equal(capped, mat) == (scale < 1.0)
+        assert check_unitary(capped) and np.array_equal(capped[:, 2], mat[:, 2])
+        assert abs(capped[0, 1]) <= (s if scale < 1.0 else 1e-15 / 2)
 
 
 # ---------------------------------------------------------------- synthesis

@@ -163,6 +163,15 @@ def test_game_unitary_rejects_nonfinite_entries():
         GameUnitary(m)
 
 
+def test_game_unitary_copies_and_leaves_the_callers_array_writeable():
+    """Like the state classes, GameUnitary freezes its own copy: the caller may still edit the array passed in."""
+    m = np.eye(4, dtype=complex)
+    u = GameUnitary(m)
+    assert u.mat is not m and m.flags.writeable and not u.mat.flags.writeable
+    m[0, 0] = 2.0
+    assert np.array_equal(u.mat, np.eye(4))
+
+
 def test_apply_permutes_basis_states():
     # control on first qubit: |10> -> |11>, |11> -> |10>
     assert np.array_equal(apply(CNOT, tensor(KET1, KET0)).vec, [0, 0, 0, 1])
